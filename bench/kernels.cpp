@@ -84,6 +84,38 @@ void BM_Geqrf(benchmark::State& state) {
 }
 BENCHMARK(BM_Geqrf)->Arg(256)->Arg(512);
 
+// The numeric mode's input fill (A = B B^T + n I, n^3 flops over the lower
+// triangle) and explicit Q (4n^3/3 flops): with the factorization itself
+// they dominate a numeric solve, so a return of their strided loops shows.
+void BM_FillSpd(benchmark::State& state) {
+  const idx n = state.range(0);
+  Matrix<double> a(n, n);
+  for (auto _ : state) {
+    Rng rng(11);
+    la::fill_spd(a.view(), rng);
+    benchmark::DoNotOptimize(a.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(n) * n * n * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FillSpd)->Arg(512);
+
+void BM_FormQ(benchmark::State& state) {
+  const idx n = state.range(0);
+  Matrix<double> a = random_matrix(n, n, 12);
+  std::vector<double> tau;
+  la::geqrf(a.view(), 64, tau);
+  for (auto _ : state) {
+    const Matrix<double> q = la::form_q(a.view().as_const(), tau);
+    benchmark::DoNotOptimize(q.data());
+  }
+  state.counters["GFLOP/s"] =
+      benchmark::Counter(4.0 * n * n * n / 3.0 * state.iterations() / 1e9,
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FormQ)->Arg(512);
+
 void BM_ChecksumEncode(benchmark::State& state) {
   const idx n = state.range(0);
   const Matrix<double> a = random_matrix(n, n, 6);

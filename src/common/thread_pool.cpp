@@ -91,8 +91,11 @@ void ThreadPool::parallel_ranges(
   }
   work_cv_.notify_all();
   drain(batch);  // the calling thread participates
+  // Wait for this batch's own chunks, not for the slot to change: a nested
+  // call from this thread, or a second external caller, replaces batch_
+  // while workers may still be running chunks of this one.
   std::unique_lock lk(mu_);
-  done_cv_.wait(lk, [&] { return batch_ != batch; });
+  done_cv_.wait(lk, [&] { return batch->completed.load() == batch->count; });
 }
 
 void ThreadPool::parallel_for(std::size_t count,

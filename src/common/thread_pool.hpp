@@ -28,7 +28,10 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, count), distributing contiguous chunks across the
   /// pool; blocks until all iterations complete. Reentrant calls from inside a
-  /// worker fall back to serial execution to avoid deadlock.
+  /// worker fall back to serial execution to avoid deadlock. Nested calls
+  /// from the participating caller thread and concurrent calls from other
+  /// threads are parallel, and each still returns only after its own
+  /// iterations have all run.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Like parallel_for but hands each worker a [begin, end) range.

@@ -118,17 +118,11 @@ class NumericRunner final : public NumericRunnerBase {
 
     std::vector<idx> piv;
     la::getf2(a_.block(j0, j0, m, bb), piv);
-    for (idx i = 0; i < bb; ++i) {
-      const idx r = j0 + i;
-      const idx p = piv[i] + j0;
-      ipiv_[r] = p;
-      if (p != r) {
-        // The panel already swapped its own columns; swap the rest.
-        if (j0 > 0) la::swap(j0, &a_(r, 0), n, &a_(p, 0), n);
-        if (j0 + bb < n) {
-          la::swap(n - j0 - bb, &a_(r, j0 + bb), n, &a_(p, j0 + bb), n);
-        }
-      }
+    for (idx i = 0; i < bb; ++i) ipiv_[j0 + i] = piv[i] + j0;
+    // The panel already swapped its own columns; swap the rest.
+    if (j0 > 0) la::laswp(a_.block(0, 0, n, j0), ipiv_, j0, j0 + bb);
+    if (j0 + bb < n) {
+      la::laswp(a_.block(0, j0 + bb, n, n - j0 - bb), ipiv_, j0, j0 + bb);
     }
     if (mt <= 0) return;
 

@@ -48,8 +48,9 @@ template <typename T>
 void larfg(idx n, T& alpha, T* x, idx incx, T& tau);
 
 /// Applies H = I - tau v v^T from the left to c (v has implicit leading 1).
+/// v must not overlap c.
 template <typename T>
-void larf_left(const T* v, T tau, MatrixView<T> c, T* work);
+void larf_left(const T* v, T tau, MatrixView<T> c);
 
 /// Unblocked QR of an m x n panel; tau resized to min(m, n).
 template <typename T>
@@ -82,7 +83,7 @@ Matrix<T> form_q(ConstMatrixView<T> qr, const std::vector<T>& tau);
   extern template void laswp<T>(MatrixView<T>, const std::vector<idx>&, idx, idx);   \
   extern template idx getrf<T>(MatrixView<T>, idx, std::vector<idx>&);               \
   extern template void larfg<T>(idx, T&, T*, idx, T&);                               \
-  extern template void larf_left<T>(const T*, T, MatrixView<T>, T*);                 \
+  extern template void larf_left<T>(const T*, T, MatrixView<T>);                     \
   extern template idx geqr2<T>(MatrixView<T>, std::vector<T>&);                      \
   extern template void larft<T>(ConstMatrixView<T>, const T*, MatrixView<T>);        \
   extern template void larfb_left_trans<T>(ConstMatrixView<T>, ConstMatrixView<T>,   \

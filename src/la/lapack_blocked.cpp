@@ -133,12 +133,14 @@ Matrix<T> form_q(ConstMatrixView<T> qr, const std::vector<T>& tau) {
   Matrix<T> q(m, m);
   fill_identity(q.view());
   // Q = H_0 H_1 ... H_{k-1}; apply in reverse to the identity from the left.
+  // H_j touches rows j: only, and columns < j of those rows are the
+  // identity's +0.0 before and after it: their dot with v is +0, and
+  // +0 + (+-0) = +0 for finite v and tau. So H_j is applied to q(j:, j:).
   std::vector<T> v(m);
-  std::vector<T> work(m);
   for (idx j = k - 1; j >= 0; --j) {
     v[0] = T(1);
     for (idx i = 1; i < m - j; ++i) v[i] = qr(j + i, j);
-    larf_left(v.data(), tau[j], q.block(j, 0, m - j, m), work.data());
+    larf_left(v.data(), tau[j], q.block(j, j, m - j, m - j));
   }
   return q;
 }

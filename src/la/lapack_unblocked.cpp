@@ -1,4 +1,5 @@
 #include <cmath>
+#include <utility>
 
 #include "la/lapack.hpp"
 
@@ -49,9 +50,15 @@ idx getf2(MatrixView<T> a, std::vector<idx>& ipiv) {
 
 template <typename T>
 void laswp(MatrixView<T> a, const std::vector<idx>& ipiv, idx k0, idx k1) {
-  for (idx kk = k0; kk < k1; ++kk) {
-    const idx p = ipiv[kk];
-    if (p != kk) swap(a.cols(), &a(kk, 0), a.ld(), &a(p, 0), a.ld());
+  // Column by column over contiguous memory: each column sees the same
+  // interchanges in the same order as a row-at-a-time sweep, and a swap
+  // moves bits exactly.
+  for (idx j = 0; j < a.cols(); ++j) {
+    T* col = a.col(j);
+    for (idx kk = k0; kk < k1; ++kk) {
+      const idx p = ipiv[kk];
+      if (p != kk) std::swap(col[kk], col[p]);
+    }
   }
 }
 
@@ -74,16 +81,40 @@ void larfg(idx n, T& alpha, T* x, idx incx, T& tau) {
 }
 
 template <typename T>
-void larf_left(const T* v, T tau, MatrixView<T> c, T* work) {
+void larf_left(const T* v, T tau, MatrixView<T> c) {
   // c := (I - tau v v^T) c; v(0) == 1 implicit, caller passes v with explicit 1.
+  // Each column gets its dot with v, then its axpy, while it is still in
+  // cache. Four columns' dots run as independent chains, each summing in
+  // ascending i, so every column sees exactly the two-pass operations.
   if (tau == T(0)) return;
   const idx m = c.rows();
   const idx n = c.cols();
-  // work = c^T v
-  for (idx j = 0; j < n; ++j) work[j] = dot(m, c.col(j), 1, v, 1);
-  // c -= tau * v * work^T
-  for (idx j = 0; j < n; ++j) {
-    axpy(m, -tau * work[j], v, 1, c.col(j), 1);
+  const T* BSR_RESTRICT vr = v;
+  idx j = 0;
+  for (; j + 4 <= n; j += 4) {
+    T* BSR_RESTRICT c0 = c.col(j);
+    T* BSR_RESTRICT c1 = c.col(j + 1);
+    T* BSR_RESTRICT c2 = c.col(j + 2);
+    T* BSR_RESTRICT c3 = c.col(j + 3);
+    T s0 = 0;
+    T s1 = 0;
+    T s2 = 0;
+    T s3 = 0;
+    for (idx i = 0; i < m; ++i) {
+      const T vi = vr[i];
+      s0 += c0[i] * vi;
+      s1 += c1[i] * vi;
+      s2 += c2[i] * vi;
+      s3 += c3[i] * vi;
+    }
+    axpy(m, -tau * s0, v, 1, c0, 1);
+    axpy(m, -tau * s1, v, 1, c1, 1);
+    axpy(m, -tau * s2, v, 1, c2, 1);
+    axpy(m, -tau * s3, v, 1, c3, 1);
+  }
+  for (; j < n; ++j) {
+    T* cj = c.col(j);
+    axpy(m, -tau * dot(m, cj, 1, v, 1), v, 1, cj, 1);
   }
 }
 
@@ -94,15 +125,13 @@ idx geqr2(MatrixView<T> a, std::vector<T>& tau) {
   const idx k = std::min(m, n);
   tau.assign(k, T(0));
   std::vector<T> v(m);
-  std::vector<T> work(n);
   for (idx j = 0; j < k; ++j) {
     larfg(m - j, a(j, j), (j + 1 < m) ? &a(j + 1, j) : nullptr, 1, tau[j]);
     if (j + 1 < n && tau[j] != T(0)) {
       // Apply H_j to the trailing columns using an explicit v with leading 1.
       v[0] = T(1);
       for (idx i = 1; i < m - j; ++i) v[i] = a(j + i, j);
-      larf_left(v.data(), tau[j], a.block(j, j + 1, m - j, n - j - 1),
-                work.data());
+      larf_left(v.data(), tau[j], a.block(j, j + 1, m - j, n - j - 1));
     }
   }
   return 0;
@@ -142,7 +171,7 @@ void larft(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
   template idx getf2<T>(MatrixView<T>, std::vector<idx>&);                       \
   template void laswp<T>(MatrixView<T>, const std::vector<idx>&, idx, idx);      \
   template void larfg<T>(idx, T&, T*, idx, T&);                                  \
-  template void larf_left<T>(const T*, T, MatrixView<T>, T*);                    \
+  template void larf_left<T>(const T*, T, MatrixView<T>);                        \
   template idx geqr2<T>(MatrixView<T>, std::vector<T>&);                         \
   template void larft<T>(ConstMatrixView<T>, const T*, MatrixView<T>);
 

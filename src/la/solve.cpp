@@ -29,12 +29,11 @@ void apply_qt(ConstMatrixView<T> qr, const std::vector<T>& tau, MatrixView<T> b)
   const idx m = qr.rows();
   const idx k = static_cast<idx>(tau.size());
   std::vector<T> v(m);
-  std::vector<T> work(b.cols());
   for (idx j = 0; j < k; ++j) {
     if (tau[j] == T(0)) continue;
     v[0] = T(1);
     for (idx i = 1; i < m - j; ++i) v[i] = qr(j + i, j);
-    larf_left(v.data(), tau[j], b.block(j, 0, m - j, b.cols()), work.data());
+    larf_left(v.data(), tau[j], b.block(j, 0, m - j, b.cols()));
   }
 }
 

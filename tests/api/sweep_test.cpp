@@ -12,6 +12,7 @@
 #include "bsr/registry.hpp"
 #include "core/decomposer.hpp"
 #include "energy/bsr_strategy.hpp"
+#include "serve/report_json.hpp"
 
 namespace bsr {
 namespace {
@@ -101,6 +102,41 @@ TEST(Sweep, OneThreadVsManyThreadsBitwiseIdentical) {
     EXPECT_EQ(a.rows[i].config.fingerprint(), b.rows[i].config.fingerprint());
     expect_identical_reports(*a.rows[i].report, *b.rows[i].report);
     expect_identical_reports(*a.rows[i].baseline, *b.rows[i].baseline);
+  }
+}
+
+// In a numeric sweep the la kernels run on the pool's participating caller
+// thread too, and call the same shared pool from there. Every row must still
+// come back, byte-equal to a one-thread sweep, residual included.
+TEST(Sweep, NumericSweepOnSharedPoolMatchesOneThread) {
+  RunConfig base;
+  base.n = 96;
+  base.b = 32;
+  base.strategy = "bsr";
+  base.reclamation_ratio = 0.25;
+  base.fc_desired = 0.999;
+  base.platform = "numeric_demo";
+  base.mode = ExecutionMode::Numeric;
+  base.error_rate_multiplier = 150.0;
+  const auto build = [&](int threads) {
+    return Sweep(base)
+        .over(factorization_axis({Factorization::LU, Factorization::QR,
+                                  Factorization::Cholesky}))
+        .over(abft_axis({"adaptive", "none"}))
+        .over(trial_axis(4, 11))
+        .threads(threads)
+        .run();
+  };
+  const SweepResult serial = build(1);
+  const SweepResult shared = build(0);
+  ASSERT_EQ(serial.rows.size(), 24u);
+  ASSERT_EQ(shared.rows.size(), serial.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    ASSERT_NE(serial.rows[i].report, nullptr) << "row " << i;
+    ASSERT_NE(shared.rows[i].report, nullptr) << "row " << i;
+    EXPECT_EQ(serve::serialize_report(*shared.rows[i].report),
+              serve::serialize_report(*serial.rows[i].report))
+        << "row " << i;
   }
 }
 

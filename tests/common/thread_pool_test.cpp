@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace bsr {
@@ -39,6 +41,52 @@ TEST(ThreadPool, NestedCallsFallBackToSerial) {
     pool.parallel_for(10, [&](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 80);
+}
+
+// The calling thread participates in its own batch and is not a pool worker,
+// so a nested call from it runs in parallel and takes over the pool's batch
+// slot. The outer call must still wait for its own chunks, which the workers
+// are running (and sleeping in) when the caller's share is done.
+TEST(ThreadPool, NestedCallFromCallerWaitsForOuterBatch) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    constexpr std::size_t kOuter = 16;
+    std::atomic<std::size_t> outer_done{0};
+    std::atomic<int> inner_total{0};
+    pool.parallel_for(kOuter, [&](std::size_t) {
+      pool.parallel_for(8, [&](std::size_t) { inner_total.fetch_add(1); });
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      outer_done.fetch_add(1);
+    });
+    ASSERT_EQ(outer_done.load(), kOuter) << "round " << round;
+    ASSERT_EQ(inner_total.load(), static_cast<int>(8 * kOuter));
+  }
+}
+
+// Two threads outside the pool share it: each call replaces the other's
+// batch in the slot, and each must still return only after all its own
+// indices ran.
+TEST(ThreadPool, ConcurrentExternalCallersEachWaitForTheirBatch) {
+  ThreadPool pool(4);
+  std::atomic<int> early_returns{0};
+  const auto caller = [&] {
+    for (int round = 0; round < 40; ++round) {
+      constexpr std::size_t kCount = 32;
+      std::vector<std::atomic<int>> hits(kCount);
+      pool.parallel_for(kCount, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        hits[i].fetch_add(1);
+      });
+      for (const auto& h : hits) {
+        if (h.load() != 1) early_returns.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(early_returns.load(), 0);
 }
 
 TEST(ThreadPool, SumMatchesSerial) {
