@@ -5,14 +5,22 @@
 // numbers are host-side sanity benchmarks (the *simulated* device performance
 // comes from hw::PerfModel, not from these numbers); the throughput numbers
 // are the product metric the committed BENCH_kernels.json trajectory and the
-// CI perf gate (tools/perf_gate.py) defend.
+// CI perf gate (tools/perf_gate.py) defend. The daemon's report codec gets the
+// same treatment in bytes per second.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "abft/checksum.hpp"
 #include "abft/update.hpp"
 #include "bsr/bsr.hpp"
 #include "common/rng.hpp"
 #include "la/lapack.hpp"
+#include "serve/report_json.hpp"
+#include "serve/store.hpp"
 
 using namespace bsr;
 using la::idx;
@@ -203,5 +211,55 @@ void BM_FaultCampaign(benchmark::State& state) {
       static_cast<double>(runs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FaultCampaign);
+
+// The daemon's codec on a grid-size report: n = 15360 LU under BSR, about
+// 36 KB serialized. bytes/s counts report bytes produced.
+RunConfig grid_cell() {
+  RunConfig cfg;
+  cfg.factorization = Factorization::LU;
+  cfg.n = 15360;
+  cfg.strategy = "bsr";
+  return cfg;
+}
+
+void BM_ReportSerialize(benchmark::State& state) {
+  const RunReport report = run(grid_cell());
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = serve::serialize_report(report);
+    benchmark::DoNotOptimize(json.data());
+    bytes += static_cast<std::int64_t>(json.size());
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ReportSerialize);
+
+// One durable-store hit as the daemon takes it: read the record, parse it
+// once, vet it, deserialize the report and re-emit its text.
+void BM_StoreHit(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("bsr_bench_store_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  serve::DiskResultStore store(dir.string());
+  const RunConfig cfg = grid_cell();
+  const std::string fp = cfg.fingerprint();
+  store.save(fp, run(cfg));
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::optional<serve::StoredRecord> record = store.load_record(fp);
+    if (!record.has_value()) {
+      state.SkipWithError("store hit missed");
+      break;
+    }
+    benchmark::DoNotOptimize(record->json.data());
+    bytes += static_cast<std::int64_t>(record->json.size());
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreHit);
 
 }  // namespace

@@ -1,8 +1,9 @@
 #include "common/json.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 
@@ -10,12 +11,66 @@ namespace bsr {
 
 namespace {
 
+/// Containers nested deeper than this are rejected (see JsonValue::parse).
+constexpr int kMaxDepth = 256;
+
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("json: " + what);
 }
 
 [[noreturn]] void fail_at(const std::string& what, std::size_t offset) {
   fail(what + " at offset " + std::to_string(offset));
+}
+
+// ---- append helpers ---------------------------------------------------------
+// Every writer in this file appends into the caller's buffer: no temporary
+// string per key, number or nested value.
+
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;  // start of the bytes not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {  // the other control characters: \u00XX
+        constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
+    }
+  }
+  out.append(s, run, s.size() - run);
+  out += '"';
+}
+
+/// std::to_chars output of `v` (an integer, or a finite double in shortest
+/// round-trip form) appended to `out`; "0" when it does not format.
+template <typename T>
+void append_chars(std::string& out, T v) {
+  char buf[40];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  if (ec != std::errc()) {
+    out += '0';
+    return;
+  }
+  out.append(buf, ptr);
+}
+
+void append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';  // JSON has no NaN or infinity
+    return;
+  }
+  append_chars(out, v);
 }
 
 /// Recursive-descent parser over a string_view with an explicit cursor.
@@ -61,8 +116,18 @@ class Parser {
 
   JsonValue parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded recursion: an untrusted line of 100 000 '[' must throw,
+        // not overflow the stack.
+        if (depth_ == kMaxDepth) {
+          fail_at("nesting deeper than " + std::to_string(kMaxDepth), pos_);
+        }
+        ++depth_;
+        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail_at("bad literal", pos_);
@@ -79,12 +144,15 @@ class Parser {
 
   JsonValue parse_object() {
     expect('{');
-    std::vector<std::pair<std::string, JsonValue>> members;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return JsonValue::make_object({});
     }
+    // Members collect in this depth's scratch, then move into a vector of
+    // exactly their count: one allocation per object instead of one per
+    // doubling, and sibling objects reuse the scratch.
+    auto& members = member_scratch_[static_cast<std::size_t>(depth_)];
     for (;;) {
       skip_ws();
       std::string key = parse_string();
@@ -98,7 +166,11 @@ class Parser {
       if (c == '}') break;
       if (c != ',') fail_at("expected ',' or '}' in object", pos_ - 1);
     }
-    return JsonValue::make_object(std::move(members));
+    std::vector<std::pair<std::string, JsonValue>> exact(
+        std::make_move_iterator(members.begin()),
+        std::make_move_iterator(members.end()));
+    members.clear();
+    return JsonValue::make_object(std::move(exact));
   }
 
   JsonValue parse_array() {
@@ -125,16 +197,20 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy each run of bytes that need no decoding with one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const char c = text_[pos_];
+        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+          break;
+        }
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) fail_at("unterminated string", pos_);
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail_at("raw control character in string", pos_ - 1);
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail_at("raw control character in string", pos_ - 1);
       if (pos_ >= text_.size()) fail_at("unterminated escape", pos_);
       const char esc = text_[pos_++];
       switch (esc) {
@@ -146,15 +222,15 @@ class Parser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case 'u': append_unicode_escape(out); break;
         default: fail_at("bad escape character", pos_ - 1);
       }
     }
   }
 
   /// Decodes \uXXXX (and a low surrogate when XXXX is a high surrogate) to
-  /// UTF-8 bytes.
-  std::string parse_unicode_escape() {
+  /// UTF-8 bytes appended to `out`.
+  void append_unicode_escape(std::string& out) {
     const auto hex4 = [&]() -> unsigned {
       if (pos_ + 4 > text_.size()) fail_at("truncated \\u escape", pos_);
       unsigned v = 0;
@@ -177,7 +253,6 @@ class Parser {
     } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
       fail_at("unpaired low surrogate", pos_);
     }
-    std::string out;
     if (cp < 0x80) {
       out += static_cast<char>(cp);
     } else if (cp < 0x800) {
@@ -193,7 +268,6 @@ class Parser {
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
     }
-    return out;
   }
 
   JsonValue parse_number() {
@@ -226,6 +300,10 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
+  /// Per nesting depth, the members of the object being parsed there.
+  std::array<std::vector<std::pair<std::string, JsonValue>>, kMaxDepth + 1>
+      member_scratch_;
 };
 
 }  // namespace
@@ -365,67 +443,51 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *v;
 }
 
-std::string JsonValue::dump() const {
+void JsonValue::dump_to(std::string& out) const {
   switch (kind_) {
-    case Kind::Null: return "null";
-    case Kind::Bool: return bool_ ? "true" : "false";
-    case Kind::Number: return scalar_;
-    case Kind::String: return json_quote(scalar_);
-    case Kind::Array: {
-      std::string out = "[";
+    case Kind::Null: out += "null"; return;
+    case Kind::Bool: out += bool_ ? "true" : "false"; return;
+    case Kind::Number: out += scalar_; return;
+    case Kind::String: append_quoted(out, scalar_); return;
+    case Kind::Array:
+      out += '[';
       for (std::size_t i = 0; i < items_.size(); ++i) {
         if (i > 0) out += ',';
-        out += items_[i].dump();
+        items_[i].dump_to(out);
       }
       out += ']';
-      return out;
-    }
-    case Kind::Object: {
-      std::string out = "{";
+      return;
+    case Kind::Object:
+      out += '{';
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ',';
-        out += json_quote(members_[i].first);
+        append_quoted(out, members_[i].first);
         out += ':';
-        out += members_[i].second.dump();
+        members_[i].second.dump_to(out);
       }
       out += '}';
-      return out;
-    }
+      return;
   }
-  return "null";
+}
+
+std::string JsonValue::dump() const {
+  std::string out;
+  dump_to(out);
+  return out;
 }
 
 // ---- writer helpers ---------------------------------------------------------
 
 std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  std::string out;
+  append_quoted(out, s);
   return out;
 }
 
 std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "0";
-  return std::string(buf, ptr);
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 // ---- JsonWriter -------------------------------------------------------------
@@ -465,7 +527,7 @@ JsonWriter& JsonWriter::arr_close() {
 
 JsonWriter& JsonWriter::key(std::string_view k) {
   comma();
-  out_ += json_quote(k);
+  append_quoted(out_, k);
   out_ += ':';
   // The value that follows must not emit another comma.
   if (!needs_comma_.empty()) needs_comma_.back() = false;
@@ -474,7 +536,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   comma();
-  out_ += json_quote(s);
+  append_quoted(out_, s);
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
@@ -488,14 +550,14 @@ JsonWriter& JsonWriter::value(bool b) {
 
 JsonWriter& JsonWriter::value(double v) {
   comma();
-  out_ += json_double(v);
+  append_double(out_, v);
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
@@ -503,7 +565,7 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
 JsonWriter& JsonWriter::value_u64(std::uint64_t v) {
   comma();
   out_ += '"';
-  out_ += std::to_string(v);
+  append_chars(out_, v);
   out_ += '"';
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;

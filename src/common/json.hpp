@@ -40,7 +40,11 @@ class JsonValue {
 
   /// Parses exactly one JSON document (leading/trailing whitespace allowed;
   /// anything else after the value is an error). Throws std::runtime_error
-  /// with the byte offset on malformed input.
+  /// with the byte offset on malformed input. Arrays and objects may nest
+  /// at most 256 deep ("json: nesting deeper than 256 at offset N"), so an
+  /// untrusted line cannot exhaust the stack; the documents this library
+  /// writes nest at most 5 deep (store record > report > trace > iterations
+  /// > iteration).
   static JsonValue parse(std::string_view text);
 
   [[nodiscard]] Kind kind() const { return kind_; }
@@ -79,6 +83,8 @@ class JsonValue {
   /// Compact re-serialization: no whitespace, object order preserved,
   /// number tokens verbatim — the identity transform on writer output.
   [[nodiscard]] std::string dump() const;
+  /// dump() appended to `out`: one buffer for the whole tree.
+  void dump_to(std::string& out) const;
 
   // -- construction (used by tests; the serializers use JsonWriter) -----------
   static JsonValue make_null() { return JsonValue(); }

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -277,7 +278,8 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
   } else if (op == "sweep") {
     metrics_.sweep_latency.observe(elapsed);
   }
-  conn.send_all(response + "\n");
+  response += '\n';  // frames the reply in place, not in a second copy
+  conn.send_all(response);
   if (shutdown) {
     // Flag the daemon down; the actual joins happen in wait()/stop() on a
     // non-worker thread. Mark stopping first so idle workers drain out.
@@ -317,11 +319,12 @@ std::pair<CachedResult, const char*> Server::resolve(
   const SingleFlight<CachedResult>::Result result =
       flights_.do_call(fingerprint, [&]() -> CachedResult {
         if (store_ != nullptr) {
-          if (std::shared_ptr<const std::string> text =
-                  store_->load_serialized(fingerprint)) {
-            // Metrics come from one deserialization; the response bytes stay
-            // the stored text verbatim.
-            CachedResult e = make_cached(deserialize_report(*text), *text);
+          if (std::optional<StoredRecord> record =
+                  store_->load_record(fingerprint)) {
+            // One parse gives both the metrics and the response bytes (the
+            // stored report re-emitted verbatim).
+            CachedResult e =
+                make_cached(record->report, std::move(record->json));
             e.from_store = true;
             return e;
           }

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "serve/report_json.hpp"
@@ -47,6 +49,26 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// The whole file at `path`, read with one read sized from the file (a file
+/// that shrank meanwhile yields what is left); nullopt when it cannot be
+/// opened.
+std::optional<std::string> read_file(const std::string& path) {
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  struct stat st {};
+  if (file == nullptr || ::fstat(::fileno(file.get()), &st) != 0) {
+    return std::nullopt;
+  }
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);  // read straight into bytes
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file.get()));
+  return bytes;
+}
+
 }  // namespace
 
 DiskResultStore::DiskResultStore(std::string dir) : dir_(std::move(dir)) {
@@ -61,63 +83,60 @@ std::string DiskResultStore::record_path(const std::string& fingerprint) const {
          hex16(fnv1a(fingerprint, 0x9e3779b97f4a7c15ULL)) + ".json";
 }
 
-std::shared_ptr<const std::string> DiskResultStore::load_serialized(
+std::optional<StoredRecord> DiskResultStore::load_record(
     const std::string& fingerprint) {
   const std::string path = record_path(fingerprint);
-  std::ifstream in(path, std::ios::binary);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!in) {
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes.has_value()) {
+    std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.misses;
-    return nullptr;
+    return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  // Parse and vet the record envelope; anything unexpected is a loud reject.
-  const auto reject = [&](const std::string& why)
-      -> std::shared_ptr<const std::string> {
-    ++stats_.rejected;
+  // Anything unexpected, the report's own schema included, is a loud reject.
+  try {
+    const JsonValue record = JsonValue::parse(*bytes);
+    const std::int64_t schema = record.at("schema").to_int64();
+    if (schema != kSchemaVersion) {
+      throw std::runtime_error("schema version " + std::to_string(schema) +
+                               ", this build reads " +
+                               std::to_string(kSchemaVersion));
+    }
+    if (record.at("fingerprint").as_string() != fingerprint) {
+      throw std::runtime_error("fingerprint mismatch");
+    }
+    const JsonValue& report = record.at("report");
+    StoredRecord out{{}, deserialize_report(report)};
+    out.json.reserve(bytes->size());  // the report is part of the record
+    report.dump_to(out.json);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.hits;
+    return out;
+  } catch (const std::exception& e) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.rejected;
+    }
     rejected_records_counter().inc();
     std::fprintf(stderr,
                  "store: rejecting record %s (%s); treating as a miss\n",
-                 path.c_str(), why.c_str());
-    return nullptr;
-  };
-  try {
-    const JsonValue record = JsonValue::parse(text.str());
-    const std::int64_t schema = record.at("schema").to_int64();
-    if (schema != kSchemaVersion) {
-      return reject("schema version " + std::to_string(schema) +
-                    ", this build reads " + std::to_string(kSchemaVersion));
-    }
-    if (record.at("fingerprint").as_string() != fingerprint) {
-      return reject("fingerprint mismatch");
-    }
-    ++stats_.hits;
-    return std::make_shared<const std::string>(record.at("report").dump());
-  } catch (const std::exception& e) {
-    return reject(e.what());
+                 path.c_str(), e.what());
+    return std::nullopt;
   }
 }
 
 std::shared_ptr<const core::RunReport> DiskResultStore::load(
     const std::string& fingerprint) {
-  const std::shared_ptr<const std::string> text = load_serialized(fingerprint);
-  if (text == nullptr) return nullptr;
-  // The record parsed above, so this only throws on a report schema drift —
-  // which must also read as a loud miss, not abort the sweep.
-  try {
-    return std::make_shared<const core::RunReport>(deserialize_report(*text));
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.rejected;
-    rejected_records_counter().inc();
-    --stats_.hits;
-    std::fprintf(stderr,
-                 "store: rejecting record for %s (%s); treating as a miss\n",
-                 fingerprint.c_str(), e.what());
-    return nullptr;
-  }
+  std::optional<StoredRecord> record = load_record(fingerprint);
+  return record ? std::make_shared<const core::RunReport>(
+                      std::move(record->report))
+                : nullptr;
+}
+
+std::shared_ptr<const std::string> DiskResultStore::load_serialized(
+    const std::string& fingerprint) {
+  std::optional<StoredRecord> record = load_record(fingerprint);
+  return record ? std::make_shared<const std::string>(std::move(record->json))
+                : nullptr;
 }
 
 void DiskResultStore::save_serialized(const std::string& fingerprint,

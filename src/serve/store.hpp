@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "bsr/sweep.hpp"
@@ -29,27 +30,46 @@ namespace bsr::serve {
 /// Counters of one DiskResultStore's lifetime (monotone, thread-safe reads
 /// under the store's own lock via stats()).
 struct StoreStats {
-  std::uint64_t hits = 0;      ///< load() found a valid record
-  std::uint64_t misses = 0;    ///< load() found nothing
+  std::uint64_t hits = 0;      ///< load_record() found a valid record
+  std::uint64_t misses = 0;    ///< load_record() found nothing
   std::uint64_t rejected = 0;  ///< corrupt / old-schema / mismatched records
   std::uint64_t saves = 0;     ///< records written
 };
 
-/// The on-disk store (see file comment). Thread-safe: load/save serialize on
-/// an internal mutex (records are small; the simulator run dominates).
+/// One valid record, read and parsed once.
+struct StoredRecord {
+  /// The record's "report" re-emitted (JsonValue::dump), so a store hit
+  /// answers with the bytes the cold run serialized.
+  std::string json;
+  /// The same report deserialized from the same parse.
+  core::RunReport report;
+};
+
+/// The on-disk store (see file comment). Thread-safe: saves serialize on an
+/// internal mutex, loads read and parse outside it and take it only to
+/// count.
 class DiskResultStore final : public ResultStore {
  public:
   /// Records are written under `dir`, created (one level) if absent. Throws
   /// std::runtime_error when the directory cannot be created.
   explicit DiskResultStore(std::string dir);
 
-  /// Reads the record for `fingerprint`; nullptr on miss or loud reject.
+  /// The one read path: reads the record for `fingerprint` in one read,
+  /// parses it once, vets the envelope (schema, fingerprint) and
+  /// deserializes the report from the same parse. Counts exactly one hit,
+  /// miss or reject; nullopt on a miss or a loud reject (any of: unreadable
+  /// JSON, schema drift, fingerprint mismatch, or a valid envelope around
+  /// a report that does not deserialize).
+  [[nodiscard]] std::optional<StoredRecord> load_record(
+      const std::string& fingerprint);
+
+  /// load_record()'s report; nullptr on miss or loud reject.
   [[nodiscard]] std::shared_ptr<const core::RunReport> load(
       const std::string& fingerprint) override;
 
-  /// load() returning the record's serialized report text instead of the
-  /// deserialized struct — the daemon serves warm responses from this so a
-  /// store hit is byte-identical to the cold response by construction.
+  /// load_record()'s report text; nullptr on miss or loud reject. It pays
+  /// for the deserialization too, so the daemon calls load_record() and
+  /// keeps both halves.
   [[nodiscard]] std::shared_ptr<const std::string> load_serialized(
       const std::string& fingerprint);
 

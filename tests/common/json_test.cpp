@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace bsr {
 namespace {
@@ -41,9 +47,14 @@ TEST(JsonParse, NumberTokensAreVerbatim) {
 }
 
 TEST(JsonParse, ParseDumpIsIdentityOnWriterOutput) {
-  const std::string doc =
-      R"({"a":[1,2.5,"x"],"b":{"c":true,"d":null},"e":"q\"uo\\te","f":-1.25e-3})";
-  EXPECT_EQ(JsonValue::parse(doc).dump(), doc);
+  for (const std::string doc : {
+           R"({"a":[1,2.5,"x"],"b":{"c":true,"d":null},)"
+           R"("e":"q\"uo\\te","f":-1.25e-3})",
+           // Sibling objects at one depth, empty and nested ones between.
+           R"([{"a":1,"b":{"c":2}},{},{"d":[{"e":3},{"f":4,"g":5}]},{"h":6}])",
+       }) {
+    EXPECT_EQ(JsonValue::parse(doc).dump(), doc);
+  }
 }
 
 TEST(JsonParse, StringEscapes) {
@@ -67,6 +78,25 @@ TEST(JsonParse, ErrorsAreLoud) {
     FAIL() << "expected a parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("json:"), std::string::npos);
+  }
+
+  // Nesting is bounded, so hostile input throws instead of overflowing the
+  // stack: 1 MB of '[' or of '{"a":', and one level past the limit.
+  EXPECT_THROW((void)JsonValue::parse(std::string(1 << 20, '[')),
+               std::runtime_error);
+  std::string objects;
+  while (objects.size() < (1u << 20)) objects += "{\"a\":";
+  EXPECT_THROW((void)JsonValue::parse(objects), std::runtime_error);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(JsonValue::parse(nested(256)).dump(), nested(256));
+  try {
+    (void)JsonValue::parse(nested(257));
+    FAIL() << "expected a nesting error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "json: nesting deeper than 256 at offset 256");
   }
 }
 
@@ -132,6 +162,149 @@ TEST(JsonHelpers, QuoteEscapes) {
 TEST(JsonHelpers, DoubleClampsNonFinite) {
   EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "0");
   EXPECT_EQ(json_double(std::numeric_limits<double>::quiet_NaN()), "0");
+}
+
+// ---- Byte equivalence with the allocating writer ---------------------------
+// The writer and dump() append into one buffer. These references are the
+// earlier implementations, which built a temporary string per key, number
+// and nested value; every byte must match them.
+
+std::string ref_quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
+std::string ref_double(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[40];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  if (ec != std::errc()) return "0";
+  return std::string(buf, ptr);
+}
+
+std::string ref_dump(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::Null: return "null";
+    case JsonValue::Kind::Bool: return v.as_bool() ? "true" : "false";
+    case JsonValue::Kind::Number: return v.number_token();
+    case JsonValue::Kind::String: return ref_quote(v.as_string());
+    case JsonValue::Kind::Array: {
+      std::string out = "[";
+      for (std::size_t i = 0; i < v.items().size(); ++i) {
+        if (i > 0) out += ',';
+        out += ref_dump(v.items()[i]);
+      }
+      out += ']';
+      return out;
+    }
+    case JsonValue::Kind::Object: {
+      std::string out = "{";
+      for (std::size_t i = 0; i < v.members().size(); ++i) {
+        if (i > 0) out += ',';
+        out += ref_quote(v.members()[i].first);
+        out += ':';
+        out += ref_dump(v.members()[i].second);
+      }
+      out += '}';
+      return out;
+    }
+  }
+  return "null";
+}
+
+/// `s` written by JsonWriter as a member key and as a string value.
+void expect_writer_quotes_like_reference(const std::string& s) {
+  JsonWriter w;
+  w.obj_open();
+  w.key(s).value(std::string_view(s));
+  w.obj_close();
+  EXPECT_EQ(w.str(), "{" + ref_quote(s) + ":" + ref_quote(s) + "}");
+  EXPECT_EQ(json_quote(s), ref_quote(s));
+}
+
+TEST(JsonBytes, EveryOneByteStringQuotesLikeTheReference) {
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(b);
+    expect_writer_quotes_like_reference(std::string(1, static_cast<char>(b)));
+  }
+}
+
+TEST(JsonBytes, EscapesAnywhereInAStringQuoteLikeTheReference) {
+  const std::vector<std::string> cases = {
+      "",
+      "\"start",
+      "mid\\dle",
+      "end\n",
+      "\x01\x1f\t\r\n\"\\",
+      "a\x7f\x80\xff z",
+      "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80",  // 2-, 3-, 4-byte UTF-8
+      std::string("nul\0inside", 10),
+  };
+  for (const std::string& s : cases) {
+    SCOPED_TRACE(s);
+    expect_writer_quotes_like_reference(s);
+  }
+}
+
+TEST(JsonBytes, IntegersWriteLikeToString) {
+  for (const std::int64_t v :
+       {std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(), std::int64_t{0},
+        std::int64_t{-1}}) {
+    JsonWriter w;
+    w.value(v);
+    EXPECT_EQ(w.str(), std::to_string(v));
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max()}) {
+    JsonWriter w;
+    w.value_u64(v);
+    EXPECT_EQ(w.str(), "\"" + std::to_string(v) + "\"");
+  }
+}
+
+TEST(JsonBytes, DoublesWriteLikeTheReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(), DBL_MAX,
+        -DBL_MAX, 1.0 / 3.0, 1e-300,
+        std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(json_double(v), ref_double(v));
+    JsonWriter w;
+    w.value(v);
+    EXPECT_EQ(w.str(), ref_double(v));
+  }
+}
+
+TEST(JsonBytes, ParseThenDumpMatchesTheRecursiveReference) {
+  const std::string doc =
+      R"({"k\"ey":{"\u0001\n":[1,-2.5e-3,"x\\y",[],{}]},"t\tab":)"
+      R"([true,false,null,[[["deep\u00e9"]]]],"":"",)"
+      R"("\ud83d\ude00":{"n":10000000000,"e":"\/\b\f"}})";
+  const JsonValue v = JsonValue::parse(doc);
+  EXPECT_EQ(v.dump(), ref_dump(v));
+  std::string appended = "prefix";
+  v.dump_to(appended);
+  EXPECT_EQ(appended, "prefix" + ref_dump(v));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace bsr::serve {
 namespace {
@@ -24,6 +25,9 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW((void)parse_request("[1,2]"), std::runtime_error);
   EXPECT_THROW((void)parse_request(R"({"config":{}})"), std::runtime_error);
   EXPECT_THROW((void)parse_request(R"({"op":42})"), std::runtime_error);
+  // Nesting past the parser's limit throws instead of overflowing the stack.
+  EXPECT_THROW((void)parse_request(std::string(1 << 20, '[')),
+               std::runtime_error);
   try {
     (void)parse_request(R"({"op":"launch_missiles"})");
     FAIL() << "expected a protocol error";

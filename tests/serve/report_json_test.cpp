@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +38,32 @@ RunConfig cluster_config() {
   RunConfig cfg = small_config();
   cfg.devices = 2;
   return cfg;
+}
+
+/// An 8-device cluster run.
+RunConfig rack_config() {
+  RunConfig cfg = small_config();
+  cfg.devices = 8;
+  return cfg;
+}
+
+/// A real LU solve at n = 96.
+RunConfig numeric_config() {
+  RunConfig cfg;
+  cfg.n = 96;
+  cfg.b = 32;
+  cfg.platform = "numeric_demo";
+  cfg.mode = ExecutionMode::Numeric;
+  return cfg;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 void expect_fixpoint(const core::RunReport& report) {
@@ -93,6 +120,29 @@ TEST(ReportJson, MetricsSurviveTheRoundTrip) {
   EXPECT_EQ(restored.ed2p(), report.ed2p());
   EXPECT_EQ(restored.gflops(), report.gflops());
   ASSERT_EQ(restored.trace.iterations.size(), report.trace.iterations.size());
+}
+
+// The serializer's exact bytes, recorded before the JSON writer stopped
+// building a temporary string per token. The fixpoint tests above cannot
+// see a writer change that alters every document alike; these pins can.
+TEST(ReportJson, SerializedBytesArePinned) {
+  struct Pinned {
+    const char* name;
+    RunConfig config;
+    std::size_t bytes;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"default timing", small_config(), 5477u, 0xba740399a005f547ull},
+      {"faulty timing", faulty_config(), 5617u, 0x809d898b14e3c90full},
+      {"8-device cluster", rack_config(), 4621u, 0x4c3acc0bc1575394ull},
+      {"numeric n = 96", numeric_config(), 2747u, 0x54026b9452b46a15ull},
+  };
+  for (const Pinned& want : pinned) {
+    const std::string bytes = serialize_report(bsr::run(want.config));
+    EXPECT_EQ(bytes.size(), want.bytes) << want.name;
+    EXPECT_EQ(fnv1a(bytes), want.hash) << want.name;
+  }
 }
 
 TEST(ReportJson, MalformedInputIsRejectedLoudly) {

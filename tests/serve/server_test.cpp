@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/report_json.hpp"
 
@@ -112,6 +115,55 @@ TEST(ServerTest, RestartOverTheSameStoreServesByteIdenticalWithoutRerun) {
     EXPECT_EQ(v.at("report").dump(), cold_report);
     EXPECT_EQ(ts.executions.load(), 0);  // never re-executed
     EXPECT_EQ(ts.server->stats().store_hits, 1u);
+    ts.server->stop();
+  }
+}
+
+TEST(ServerTest, UnreadableReportInAValidEnvelopeIsALoudMissThatReExecutes) {
+  // A record whose envelope checks out but whose report does not
+  // deserialize must fall through to execution (docs/SERVING.md guarantee
+  // 4), and the fresh save replaces it.
+  const std::string dir = fresh_dir("badreport");
+  const std::string fp = small_config().fingerprint();
+  {
+    const DiskResultStore store(dir);
+    std::ofstream out(store.record_path(fp), std::ios::binary);
+    out << R"({"schema":1,"fingerprint":)" << json_quote(fp)
+        << R"(,"report":{"not_a_report":true}})" << '\n';
+  }
+  common::Counter& rejected = common::MetricsRegistry::global().counter(
+      "bsr_store_rejected_records_total", "");
+  const std::uint64_t rejected_before = rejected.value();
+  std::string cold_report;
+  {
+    ServerConfig cfg;
+    cfg.store_dir = dir;
+    TestServer ts(std::move(cfg));
+    Client c = ts.client();
+    const JsonValue first =
+        JsonValue::parse(c.call_raw(run_request(kSmallConfig)));
+    ASSERT_TRUE(first.at("ok").as_bool()) << first.dump();
+    EXPECT_EQ(first.at("source").as_string(), "executed");
+    cold_report = first.at("report").dump();
+    const JsonValue second =
+        JsonValue::parse(c.call_raw(run_request(kSmallConfig)));
+    ASSERT_TRUE(second.at("ok").as_bool()) << second.dump();
+    EXPECT_EQ(second.at("source").as_string(), "memory");
+    EXPECT_EQ(ts.executions.load(), 1);
+    EXPECT_EQ(c.stats().at("store").at("rejected").to_int64(), 1);
+    EXPECT_EQ(rejected.value(), rejected_before + 1);
+    ts.server->stop();
+  }
+  {
+    ServerConfig cfg;
+    cfg.store_dir = dir;
+    TestServer ts(std::move(cfg));  // restarted over the rewritten record
+    Client c = ts.client();
+    const JsonValue v = JsonValue::parse(c.call_raw(run_request(kSmallConfig)));
+    EXPECT_EQ(v.at("source").as_string(), "store");
+    EXPECT_EQ(v.at("report").dump(), cold_report);
+    EXPECT_EQ(ts.executions.load(), 0);
+    EXPECT_EQ(ts.server->store_stats().rejected, 0u);
     ts.server->stop();
   }
 }
@@ -249,11 +301,15 @@ TEST(ServerTest, BadRequestsAnswerOkFalseAndKeepTheConnectionUsable) {
   EXPECT_FALSE(bad2.at("retry").as_bool());
   const JsonValue bad3 = c.call(R"({"op":"run","config":{"typo_knob":1}})");
   EXPECT_FALSE(bad3.at("ok").as_bool());
+  // 200 000 nested arrays: a parse error, not a crashed daemon.
+  const JsonValue bad4 = c.call(std::string(200000, '['));
+  EXPECT_FALSE(bad4.at("ok").as_bool());
+  EXPECT_FALSE(bad4.at("retry").as_bool());
 
   // Same connection still serves good requests afterwards.
   const JsonValue good = c.call(R"({"op":"stats"})");
   EXPECT_TRUE(good.at("ok").as_bool());
-  EXPECT_EQ(good.at("bad_requests").to_int64(), 3);
+  EXPECT_EQ(good.at("bad_requests").to_int64(), 4);
   EXPECT_EQ(ts.executions.load(), 0);
   ts.server->stop();
 }

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/metrics.hpp"
@@ -65,6 +66,14 @@ TEST(DiskResultStore, SerializedPathIsByteIdentical) {
   const std::shared_ptr<const std::string> warm = store.load_serialized(fp);
   ASSERT_NE(warm, nullptr);
   EXPECT_EQ(*warm, cold);  // the byte-identity contract, cross-process
+
+  // The daemon's read: text and report from one read, counted once.
+  const std::optional<StoredRecord> record = store.load_record(fp);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->json, cold);
+  EXPECT_EQ(serialize_report(record->report), cold);
+  EXPECT_EQ(store.stats().hits, 2u);
+  EXPECT_EQ(store.stats().rejected, 0u);
 }
 
 TEST(DiskResultStore, SurvivesReopen) {
@@ -131,9 +140,13 @@ TEST(DiskResultStore, DeserializationFailureInsideAValidEnvelopeRejects) {
   overwrite(store.record_path(fp),
             "{\"schema\":1,\"fingerprint\":\"" + fp +
                 "\",\"report\":{\"not_a_report\":true}}");
-  // load_serialized trusts the envelope; load() must still reject loudly.
+  // The envelope checks out but the report does not deserialize: every read
+  // path rejects it loudly, counting one reject per read.
   EXPECT_EQ(store.load(fp), nullptr);
-  EXPECT_GE(store.stats().rejected, 1u);
+  EXPECT_EQ(store.load_serialized(fp), nullptr);
+  EXPECT_FALSE(store.load_record(fp).has_value());
+  EXPECT_EQ(store.stats().rejected, 3u);
+  EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(DiskResultStore, EveryCorruptionClassCountsTheRejectedMetric) {

@@ -7,9 +7,9 @@ Three records, selected with --mode:
       --benchmark_format=json` down to the fields that are stable across
       machines and runs of the same binary: benchmark name, CPU time, and
       the throughput counters (GFLOP/s for the numeric kernels, cells/s and
-      runs/s for the simulator hot loop). Timestamps, hostnames, and load
-      averages are dropped so the committed file only changes when
-      performance changes.
+      runs/s for the simulator hot loop, bytes/s for the daemon's report
+      codec). Timestamps, hostnames, and load averages are dropped so the
+      committed file only changes when performance changes.
 
   serve — BENCH_serve.json. Distills `bench_serve --format=json` (the
       serving-subsystem load generator) to one entry per repeat-ratio
@@ -69,7 +69,7 @@ import sys
 from pathlib import Path
 
 # Counters treated as higher-is-better throughput and therefore gated.
-RATE_COUNTERS = ("GFLOP/s", "cells/s", "runs/s", "qps", "speedup")
+RATE_COUNTERS = ("GFLOP/s", "cells/s", "runs/s", "bytes/s", "qps", "speedup")
 
 REGEN_COMMANDS = {
     "kernels":
