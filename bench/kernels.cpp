@@ -6,7 +6,8 @@
 // comes from hw::PerfModel, not from these numbers); the throughput numbers
 // are the product metric the committed BENCH_kernels.json trajectory and the
 // CI perf gate (tools/perf_gate.py) defend. The daemon's report codec gets the
-// same treatment in bytes per second.
+// same treatment in bytes per second, and Algorithm 1's checksum ladder in
+// decisions per second.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -14,11 +15,13 @@
 #include <optional>
 #include <string>
 
+#include "abft/adaptive.hpp"
 #include "abft/checksum.hpp"
 #include "abft/update.hpp"
 #include "bsr/bsr.hpp"
 #include "common/rng.hpp"
 #include "la/lapack.hpp"
+#include "predict/workload.hpp"
 #include "serve/report_json.hpp"
 #include "serve/store.hpp"
 
@@ -165,6 +168,38 @@ void BM_ProtectedGemmUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProtectedGemmUpdate)->Arg(256)->Arg(512);
+
+// Algorithm 1 (ABFT-OC) as BSR runs it on a grid-size LU (n = 15360,
+// b = 256, S = 3600 blocks): the checksum ladder from each overclocked target
+// 1800-2200 MHz, for each iteration's TMU time at base clock. The coverage
+// sums it evaluates dominate a paper-grid sweep; decisions/s counts ladders.
+void BM_AbftOc(benchmark::State& state) {
+  const hw::DeviceModel gpu = hw::PlatformProfile::paper_default().gpu;
+  const predict::WorkloadModel wl{
+      .fact = predict::Factorization::LU, .n = 15360, .b = 256};
+  std::vector<double> t_base;
+  for (int k = 0; k < wl.num_iterations(); ++k) {
+    const double flops = wl.iteration(k).tmu_flops;
+    if (flops <= 0.0) continue;
+    t_base.push_back(gpu.perf
+                         .time_for_flops(flops, hw::KernelClass::Blas3,
+                                         gpu.freq.base_mhz, gpu.freq)
+                         .seconds());
+  }
+  std::int64_t decisions = 0;
+  for (auto _ : state) {
+    for (const double t : t_base) {
+      for (hw::Mhz f = 1800; f <= 2200; f += 100) {
+        const abft::AbftDecision d = abft::abft_oc(0.999999, f, gpu, t, 3600);
+        benchmark::DoNotOptimize(&d);
+        ++decisions;
+      }
+    }
+  }
+  state.counters["decisions/s"] = benchmark::Counter(
+      static_cast<double>(decisions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AbftOc);
 
 // Simulator throughput: cells (unique runs) per second through the full Sweep
 // engine — config expansion, fingerprinting, cluster event simulation, and

@@ -149,8 +149,8 @@ struct RunConfig {
   /// Throws std::invalid_argument (message prefixed "RunConfig:") when any
   /// field is out of range or any registry key is unknown: n <= 0, b > n,
   /// reclamation_ratio outside [0, 1], fc_desired outside (0, 1),
-  /// elem_bytes not 4/8, negative error_rate_multiplier, or an unregistered
-  /// strategy / abft_policy / platform name.
+  /// elem_bytes not 4/8, a negative or non-finite error_rate_multiplier, or
+  /// an unregistered strategy / abft_policy / platform name.
   void validate() const;
 
   /// Lowers to the legacy RunOptions; throws for registry-only strategies

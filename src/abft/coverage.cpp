@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "common/arena.hpp"
 
@@ -10,29 +11,45 @@ namespace bsr::abft {
 
 namespace {
 
-// fc_full is THE hot function of a fault campaign (a profile of the seeded
-// campaign driver attributes >80% of run time here): the adaptive-checksum
-// ladder evaluates it per frequency step, per iteration, per device. The
-// optimizations below hoist loop-invariant subexpressions out of the k x j
-// summation without changing any floating-point value:
+// Both closed forms are Poisson-weighted sums of non-negative terms, added in
+// a fixed order (k ascending; in fc_full, j ascending within each k). The
+// adaptive-checksum ladder evaluates them at every candidate clock of every
+// iteration, so they dominate a paper-grid sweep, yet on the paper's rates
+// nearly all of their terms are too small to change the result. Each loop
+// therefore ends as soon as no remaining term can change the running sum,
+// which leaves every result bit-identical to the full sum:
 //
-//   * poisson_pmf(j, m1) does not depend on k, so the row is computed once
-//     into a table instead of kmax times (identical calls, identical bits);
-//   * distinct_block_factor(c, s) is a sequential prefix product, so the
-//     table dbf[c] = dbf[c-1] * (s-c)/s reproduces the reference loop's
-//     multiply order exactly — with the reference's early `return 0.0`
-//     mirrored as a sticky zero (NOT a multiply, which could produce -0.0);
-//   * std::log(i) for small integer i comes from a table of the very values
-//     std::log returns (same libm, same input, same bits).
+//   1. The running sum s never decreases. A term x with 0 <= x <= s 2^-54 is
+//      below half an ulp of s, so round-to-nearest gives fl(s + x) = s, for
+//      this addition and every later one.
+//   2. Past index i >= 2 mean, each Poisson pmf is at most half the one
+//      before it (the ratio is mean / (i + 1) < 1/2). The computed pmf's
+//      relative error (below 1e-9 at the indices the paper's rates reach) is
+//      far inside the margin below.
+//   3. Each fc_single term is pk times a product of factors in [0, 1]. Each
+//      fc_full term is (pk pj[j]) dbf[k + j] with dbf in [0, 1], and every
+//      pj <= 1 whenever m1 >= 0.
 //
-// The summation order (k outer, j inner, left-associated multiplies) is
-// untouched, so results are bitwise identical to the reference — asserted by
-// the coverage tests and the byte-identical fig09/fig11 outputs.
+// So a loop may stop at index i >= 2 mean once its pmf (along j: pk pj[j])
+// is at most s 2^-56, a factor 4 inside (1). The k loop of fc_full relies on
+// pj <= 1 and stops only when m1 >= 0. The exits need s >= 2^-900, clear of
+// subnormals, and a NaN sum or term fails every comparison, so never exits.
+//
+// The tables the sums read (pj, dbf) are filled on first use, in index order,
+// by the expressions a full fill uses, and std::log(i) for small integer i
+// comes from a table of the very values std::log returns (same libm, same
+// input, same bits).
 
 /// Upper summation bound for a Poisson tail: mean + 10 sqrt(mean) + 16 keeps
 /// the truncation error far below the 1e-6 coverage resolution we report.
-int poisson_cutoff(double mean) {
-  return static_cast<int>(mean + 10.0 * std::sqrt(std::max(mean, 1.0)) + 16.0);
+/// The bound is clamped to `blocks` (and to half the int range, so k + j
+/// cannot overflow) before it is narrowed, so no finite mean overflows it;
+/// callers pass finite means only.
+int poisson_cutoff(double mean, std::int64_t blocks) {
+  constexpr double kMaxBound = std::numeric_limits<int>::max() / 2;
+  const double cut = mean + 10.0 * std::sqrt(std::max(mean, 1.0)) + 16.0;
+  return static_cast<int>(
+      std::min({cut, static_cast<double>(blocks), kMaxBound}));
 }
 
 constexpr int kLogTableSize = 4096;
@@ -49,18 +66,26 @@ const std::array<double, kLogTableSize>& log_int_table() {
   return table;
 }
 
-double poisson_pmf(int k, double mean) {
+/// The log of a Poisson mean as poisson_pmf uses it.
+double log_mean(double mean) { return std::log(std::max(mean, 1e-300)); }
+
+double poisson_pmf(int k, double mean, double log_m) {
   // exp(-m) m^k / k! computed in log space for robustness. The log-factorial
   // subtractions stay sequential (i ascending) so the rounding sequence
-  // matches the reference exactly; the table only replaces where each
-  // std::log(i) value comes from.
+  // matches the reference exactly.
   const std::array<double, kLogTableSize>& lt = log_int_table();
-  double log_p = -mean + k * std::log(std::max(mean, 1e-300));
+  double log_p = -mean + k * log_m;
   for (int i = 2; i <= k; ++i) {
     log_p -= i < kLogTableSize ? lt[static_cast<std::size_t>(i)]
                                : std::log(static_cast<double>(i));
   }
   return std::exp(log_p);
+}
+
+/// True when no term from Poisson index i on can change `sum`, given that
+/// `bound` bounds the term at i (see the argument above).
+bool absorbed(int i, double mean, double bound, double sum) {
+  return i >= 2.0 * mean && sum >= 0x1p-900 && bound <= sum * 0x1p-56;
 }
 
 }  // namespace
@@ -69,18 +94,22 @@ double fc_single(const hw::ErrorRates& rates, double t_seconds,
                  std::int64_t blocks) {
   if (rates.fault_free()) return 1.0;
   const double m0 = rates.d0 * t_seconds;
+  if (!std::isfinite(m0)) return 0.0;
+  const double log_m0 = log_mean(m0);
   const double s = static_cast<double>(blocks);
   double sum = 0.0;
-  const int kmax = std::min<int>(poisson_cutoff(m0), static_cast<int>(blocks));
+  const int kmax = poisson_cutoff(m0, blocks);
   // Incremental distinct-block factor: after iteration k, `prod` equals
   // prod_{i=0}^{k} (S - i) / S — the reference function's value for count k.
   double prod = 1.0;
   bool zero = false;
   for (int k = 0; k <= kmax; ++k) {
+    const double pk = poisson_pmf(k, m0, log_m0);
+    if (absorbed(k, m0, pk, sum)) break;
     const double term = static_cast<double>(blocks - k) / s;
     if (!zero && term <= 0.0) zero = true;
     if (!zero) prod *= term;
-    sum += poisson_pmf(k, m0) * (zero ? 0.0 : prod);
+    sum += pk * (zero ? 0.0 : prod);
   }
   return sum * std::exp(-rates.d1 * t_seconds) * std::exp(-rates.d2 * t_seconds);
 }
@@ -90,38 +119,48 @@ double fc_full(const hw::ErrorRates& rates, double t_seconds,
   if (rates.fault_free()) return 1.0;
   const double m0 = rates.d0 * t_seconds;
   const double m1 = rates.d1 * t_seconds;
+  if (!std::isfinite(m0) || !std::isfinite(m1)) return 0.0;
+  const double log_m0 = log_mean(m0);
+  const double log_m1 = log_mean(m1);
   const double s = static_cast<double>(blocks);
-  const int kmax = std::min<int>(poisson_cutoff(m0), static_cast<int>(blocks));
-  const int jmax = std::min<int>(poisson_cutoff(m1), static_cast<int>(blocks));
+  const int kmax = poisson_cutoff(m0, blocks);
+  const int jmax = poisson_cutoff(m1, blocks);
   const int cmax = static_cast<int>(
       std::min<std::int64_t>(static_cast<std::int64_t>(kmax) + jmax, blocks));
 
   ArenaScope scope(Arena::scratch());
-  // Inner-loop-invariant row: poisson_pmf(j, m1) for every j.
-  double* pj = scope.alloc<double>(static_cast<std::size_t>(jmax) + 1);
-  for (int j = 0; j <= jmax; ++j) pj[j] = poisson_pmf(j, m1);
-  // Prefix-product table of the distinct-block factor for every count the
-  // double loop can reach (k + j <= min(kmax + jmax, blocks)).
-  double* dbf = scope.alloc<double>(static_cast<std::size_t>(cmax) + 1);
-  {
-    double prod = 1.0;
-    bool zero = false;
-    for (int c = 0; c <= cmax; ++c) {
-      const double term = static_cast<double>(blocks - c) / s;
-      if (!zero && term <= 0.0) zero = true;
-      if (!zero) prod *= term;
-      dbf[c] = zero ? 0.0 : prod;
-    }
-  }
+  // pj[j] = poisson_pmf(j, m1), and the distinct-block factor's prefix
+  // product dbf[c] = dbf[c-1] * (S-c)/S for every count the double loop can
+  // reach (k + j <= min(kmax + jmax, blocks)); both filled on first use. Once
+  // a factor (S-c)/S reaches 0 the product is a sticky zero, NOT a multiply,
+  // which could produce -0.0. A negative bound (a mean below -26, or negative
+  // blocks) leaves its loop empty and its table one entry long.
+  double* pj =
+      scope.alloc<double>(static_cast<std::size_t>(std::max(jmax, 0)) + 1);
+  double* dbf =
+      scope.alloc<double>(static_cast<std::size_t>(std::max(cmax, 0)) + 1);
+  int pj_len = 0;
+  int dbf_len = 0;
+  double prod = 1.0;
+  bool zero = false;
 
   double sum = 0.0;
   for (int k = 0; k <= kmax; ++k) {
-    const double pk = poisson_pmf(k, m0);
+    const double pk = poisson_pmf(k, m0, log_m0);
+    if (m1 >= 0.0 && absorbed(k, m0, pk, sum)) break;
     const int jlim = static_cast<int>(
         std::min<std::int64_t>(jmax, blocks - k));
-    const double* dbfk = dbf + k;
     for (int j = 0; j <= jlim; ++j) {
-      sum += pk * pj[j] * dbfk[j];
+      if (j == pj_len) pj[pj_len++] = poisson_pmf(j, m1, log_m1);
+      const double pkj = pk * pj[j];
+      if (absorbed(j, m1, pkj, sum)) break;
+      for (; dbf_len <= k + j; ++dbf_len) {
+        const double term = static_cast<double>(blocks - dbf_len) / s;
+        if (!zero && term <= 0.0) zero = true;
+        if (!zero) prod *= term;
+        dbf[dbf_len] = zero ? 0.0 : prod;
+      }
+      sum += pkj * dbf[k + j];
     }
   }
   return sum * std::exp(-rates.d2 * t_seconds);

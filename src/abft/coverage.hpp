@@ -10,6 +10,11 @@
 //   FC_full(f,T)   = [ sum_{k,j} P(k; l0 T) P(j; l1 T) prod_{i=0..k+j} (S-i)/S ] e^{-l2 T}
 //
 // with S = (n/b)^2 blocks. The paper calls FC > 99.9999% "Full Coverage".
+//
+// Each summed Poisson mean (l0 T, and l1 T in FC_full) bounds its index at
+// mean + 10 sqrt(mean) + 16, and at S. A NaN or infinite summed mean returns
+// 0 (no coverage). A finite mean far beyond S (more expected strikes than
+// protected blocks) returns 0 or nearly so, after up to S^2 terms.
 #pragma once
 
 #include <cstdint>

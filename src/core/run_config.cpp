@@ -1,6 +1,7 @@
 #include "bsr/run_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -39,8 +40,8 @@ void RunConfig::validate() const {
   if (elem_bytes != 4 && elem_bytes != 8) {
     fail("elem_bytes must be 4 or 8 (got " + std::to_string(elem_bytes) + ")");
   }
-  if (!(error_rate_multiplier >= 0.0)) {
-    fail("error_rate_multiplier must be >= 0 (got " +
+  if (!std::isfinite(error_rate_multiplier) || error_rate_multiplier < 0.0) {
+    fail("error_rate_multiplier must be finite and >= 0 (got " +
          std::to_string(error_rate_multiplier) + ")");
   }
   if (devices < 0 || devices > 4096) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "hw/platform.hpp"
 
 namespace bsr::abft {
 namespace {
@@ -72,7 +81,10 @@ TEST(Coverage, LabelHelper) {
 }
 
 TEST(Coverage, BoundedInUnitInterval) {
-  for (double d0 : {0.0, 1.0, 10.0, 100.0}) {
+  // 3e9 and 1e300 give Poisson means past the int range, and NaN none at
+  // all; each is bounded at `blocks` terms or returns 0.
+  for (double d0 : {0.0, 1.0, 10.0, 100.0, 3e9, 1e300,
+                    std::numeric_limits<double>::quiet_NaN()}) {
     const hw::ErrorRates r{.d0 = d0, .d1 = d0 / 10, .d2 = d0 / 100};
     for (double t : {0.01, 1.0, 10.0}) {
       const double s = fc_single(r, t, 3600);
@@ -83,6 +95,181 @@ TEST(Coverage, BoundedInUnitInterval) {
       EXPECT_LE(f, 1.0 + 1e-12);
     }
   }
+}
+
+// ---- Bit equivalence with the full sums -----------------------------------
+//
+// fc_single and fc_full stop summing once no remaining term can change the
+// running sum. The references below are the full sums they replaced, with
+// their pmf rows and distinct-block tables filled in full. Every comparison
+// is a memcmp, so a result one ulp off or a flipped signed zero fails.
+
+int ref_poisson_cutoff(double mean) {
+  return static_cast<int>(mean + 10.0 * std::sqrt(std::max(mean, 1.0)) + 16.0);
+}
+
+constexpr int kRefLogTableSize = 4096;
+
+const std::array<double, kRefLogTableSize>& ref_log_int_table() {
+  static const std::array<double, kRefLogTableSize> table = [] {
+    std::array<double, kRefLogTableSize> t{};
+    for (int i = 2; i < kRefLogTableSize; ++i) {
+      t[static_cast<std::size_t>(i)] = std::log(static_cast<double>(i));
+    }
+    return t;
+  }();
+  return table;
+}
+
+double ref_poisson_pmf(int k, double mean) {
+  const std::array<double, kRefLogTableSize>& lt = ref_log_int_table();
+  double log_p = -mean + k * std::log(std::max(mean, 1e-300));
+  for (int i = 2; i <= k; ++i) {
+    log_p -= i < kRefLogTableSize ? lt[static_cast<std::size_t>(i)]
+                                  : std::log(static_cast<double>(i));
+  }
+  return std::exp(log_p);
+}
+
+double ref_fc_single(const hw::ErrorRates& rates, double t_seconds,
+                     std::int64_t blocks) {
+  if (rates.fault_free()) return 1.0;
+  const double m0 = rates.d0 * t_seconds;
+  const double s = static_cast<double>(blocks);
+  double sum = 0.0;
+  const int kmax =
+      std::min<int>(ref_poisson_cutoff(m0), static_cast<int>(blocks));
+  double prod = 1.0;
+  bool zero = false;
+  for (int k = 0; k <= kmax; ++k) {
+    const double term = static_cast<double>(blocks - k) / s;
+    if (!zero && term <= 0.0) zero = true;
+    if (!zero) prod *= term;
+    sum += ref_poisson_pmf(k, m0) * (zero ? 0.0 : prod);
+  }
+  return sum * std::exp(-rates.d1 * t_seconds) * std::exp(-rates.d2 * t_seconds);
+}
+
+double ref_fc_full(const hw::ErrorRates& rates, double t_seconds,
+                   std::int64_t blocks) {
+  if (rates.fault_free()) return 1.0;
+  const double m0 = rates.d0 * t_seconds;
+  const double m1 = rates.d1 * t_seconds;
+  const double s = static_cast<double>(blocks);
+  const int kmax =
+      std::min<int>(ref_poisson_cutoff(m0), static_cast<int>(blocks));
+  const int jmax =
+      std::min<int>(ref_poisson_cutoff(m1), static_cast<int>(blocks));
+  const int cmax = static_cast<int>(
+      std::min<std::int64_t>(static_cast<std::int64_t>(kmax) + jmax, blocks));
+  std::vector<double> pj(static_cast<std::size_t>(jmax) + 1);
+  for (int j = 0; j <= jmax; ++j) pj[j] = ref_poisson_pmf(j, m1);
+  std::vector<double> dbf(static_cast<std::size_t>(cmax) + 1);
+  double prod = 1.0;
+  bool zero = false;
+  for (int c = 0; c <= cmax; ++c) {
+    const double term = static_cast<double>(blocks - c) / s;
+    if (!zero && term <= 0.0) zero = true;
+    if (!zero) prod *= term;
+    dbf[c] = zero ? 0.0 : prod;
+  }
+  double sum = 0.0;
+  for (int k = 0; k <= kmax; ++k) {
+    const double pk = ref_poisson_pmf(k, m0);
+    const int jlim =
+        static_cast<int>(std::min<std::int64_t>(jmax, blocks - k));
+    for (int j = 0; j <= jlim; ++j) sum += pk * pj[j] * dbf[k + j];
+  }
+  return sum * std::exp(-rates.d2 * t_seconds);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+testing::AssertionResult matches_full_sums(const hw::ErrorRates& r, double t,
+                                           std::int64_t blocks) {
+  const double single = fc_single(r, t, blocks);
+  const double full = fc_full(r, t, blocks);
+  const double ref_single = ref_fc_single(r, t, blocks);
+  const double ref_full = ref_fc_full(r, t, blocks);
+  if (same_bits(single, ref_single) && same_bits(full, ref_full)) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << std::hexfloat << "d0=" << r.d0 << " d1=" << r.d1 << " d2=" << r.d2
+         << " t=" << t << " blocks=" << blocks << ": fc_single " << single
+         << " vs " << ref_single << ", fc_full " << full << " vs " << ref_full;
+}
+
+constexpr std::array<std::int64_t, 7> kBlockCounts = {1,   2,    3,    16,
+                                                      400, 3600, 14400};
+
+/// Log-uniform in [lo, hi].
+double log_uniform(Rng& rng, double lo, double hi) {
+  return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+TEST(Coverage, PaperTableMatchesFullSums) {
+  // Every 100 MHz point of the paper GPU's error table, the multipliers the
+  // numeric demos use, and a log grid of exposure times from 1 us to 10 s.
+  const hw::ErrorRateModel& errors = hw::PlatformProfile::paper_default().gpu.errors;
+  for (double mult : {1.0, 150.0, 225.0}) {
+    const hw::ErrorRateModel scaled = errors.scaled(mult);
+    for (hw::Mhz f = 1800; f <= 2200; f += 100) {
+      const hw::ErrorRates r = scaled.rates(f, hw::Guardband::Optimized);
+      for (int step = 0; step <= 140; ++step) {
+        const double t = std::pow(10.0, -6.0 + step / 20.0);
+        for (std::int64_t blocks : kBlockCounts) {
+          ASSERT_TRUE(matches_full_sums(r, t, blocks));
+        }
+      }
+    }
+  }
+}
+
+TEST(Coverage, RandomRatesMatchFullSums) {
+  Rng rng(20231014);
+  for (int i = 0; i < 50000; ++i) {
+    // One draw in eight is an exact zero, which makes its pmf row a lone 1.
+    const auto rate = [&rng] {
+      const double d = log_uniform(rng, 1e-7, 80.0);
+      return rng.next_below(8) == 0 ? 0.0 : d;
+    };
+    const double d0 = rate();
+    const double d1 = rate();
+    const double d2 = rng.next_below(2) == 0 ? 0.0 : log_uniform(rng, 1e-9, 1e-3);
+    const std::int64_t blocks = kBlockCounts[rng.next_below(kBlockCounts.size())];
+    ASSERT_TRUE(matches_full_sums({.d0 = d0, .d1 = d1, .d2 = d2}, 1.0, blocks));
+  }
+}
+
+TEST(Coverage, NegativeRatesMatchFullSums) {
+  // A negative m1 makes pj[0] = exp(-m1) exceed 1, so a row's terms are no
+  // longer bounded by its pk; fc_full must not end its k loop on pk alone.
+  // Magnitudes stay below 20: the references size their tables from the
+  // bounds, which go negative for means below -26.
+  Rng rng(77);
+  for (int i = 0; i < 5000; ++i) {
+    const double a = log_uniform(rng, 1e-7, 20.0);
+    const double b = log_uniform(rng, 1e-7, 20.0);
+    hw::ErrorRates r;
+    switch (i % 3) {
+      case 0: r = {.d0 = a + b, .d1 = -b}; break;
+      case 1: r = {.d0 = -a, .d1 = a + b}; break;
+      default: r = {.d0 = -a, .d1 = -b, .d2 = a + b}; break;
+    }
+    const std::int64_t blocks = kBlockCounts[rng.next_below(kBlockCounts.size())];
+    ASSERT_TRUE(matches_full_sums(r, 1.0, blocks));
+  }
+}
+
+TEST(Coverage, NegativeBoundsSumNothing) {
+  // Means below -26 make both summation bounds negative: no term to add, and
+  // pmf and distinct-block tables of one entry.
+  const hw::ErrorRates r{.d0 = -30.0, .d1 = -30.0, .d2 = 100.0};
+  EXPECT_EQ(fc_single(r, 1.0, 3600), 0.0);
+  EXPECT_EQ(fc_full(r, 1.0, 3600), 0.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "bsr/registry.hpp"
@@ -49,6 +50,9 @@ TEST(RunConfig, ValidateRejectsOutOfRangeFields) {
   expect_invalid([](RunConfig& c) { c.fc_desired = -3.0; });
   expect_invalid([](RunConfig& c) { c.elem_bytes = 2; });
   expect_invalid([](RunConfig& c) { c.error_rate_multiplier = -1.0; });
+  expect_invalid([](RunConfig& c) {
+    c.error_rate_multiplier = std::numeric_limits<double>::infinity();
+  });
   expect_invalid([](RunConfig& c) { c.strategy = "warp"; });
   expect_invalid([](RunConfig& c) { c.abft_policy = "sometimes"; });
   expect_invalid([](RunConfig& c) { c.platform = "laptop"; });

@@ -8,7 +8,8 @@ Three records, selected with --mode:
       machines and runs of the same binary: benchmark name, CPU time, and
       the throughput counters (GFLOP/s for the numeric kernels, cells/s and
       runs/s for the simulator hot loop, bytes/s for the daemon's report
-      codec). Timestamps, hostnames, and load averages are dropped so the
+      codec, decisions/s for the ABFT-OC checksum ladder). Timestamps,
+      hostnames, and load averages are dropped so the
       committed file only changes when performance changes.
 
   serve — BENCH_serve.json. Distills `bench_serve --format=json` (the
@@ -69,7 +70,8 @@ import sys
 from pathlib import Path
 
 # Counters treated as higher-is-better throughput and therefore gated.
-RATE_COUNTERS = ("GFLOP/s", "cells/s", "runs/s", "bytes/s", "qps", "speedup")
+RATE_COUNTERS = ("GFLOP/s", "cells/s", "runs/s", "bytes/s", "decisions/s",
+                 "qps", "speedup")
 
 REGEN_COMMANDS = {
     "kernels":
