@@ -50,7 +50,7 @@ void emit_device_rows(const Curve& curve, ResultSink& sink) {
   for (std::size_t i = 0; i < curve.rows.size(); ++i) {
     const core::RunReport& r = *curve.rows[i]->report;
     const std::string devices = std::to_string(curve.counts[i]);
-    const std::string n = std::to_string(r.options.n);
+    const std::string n = std::to_string(r.config.n);
     int gpu = 0;
     for (const DeviceUsage& d : r.device_usage) {
       const bool host = &d == &r.device_usage.front();
@@ -77,15 +77,15 @@ void print_totals_table(const Curve& curve, const char* title) {
     // Weak-scaling cells grow n, so speedup is work-scaled ("scaled
     // speedup"); for strong scaling the flops ratio is exactly 1.
     const double speedup = first.seconds() / r.seconds() *
-                           r.options.workload().total_flops() /
-                           first.options.workload().total_flops();
+                           r.config.workload().total_flops() /
+                           first.config.workload().total_flops();
     char sp[32];
     std::snprintf(sp, sizeof(sp), "%.2fx", speedup);
     // Efficiency relative to the curve's own base point: speedup per
     // *added* device scaling, so a curve starting at 2 GPUs reads 100%.
     const double scale = static_cast<double>(curve.counts[i]) /
                          static_cast<double>(curve.counts.front());
-    t.add_row({std::to_string(curve.counts[i]), std::to_string(r.options.n),
+    t.add_row({std::to_string(curve.counts[i]), std::to_string(r.config.n),
                TablePrinter::num(r.seconds()),
                TablePrinter::num(r.total_energy_j()),
                TablePrinter::num(r.ed2p()), TablePrinter::num(r.gflops()), sp,

@@ -5,9 +5,7 @@
 // result sinks. The four paper strategies, the three built-in platforms, and
 // the Table/CSV/JSON sinks are pre-registered; new scenarios register
 // themselves at startup and immediately work with RunConfig, Sweep, and every
-// bench flag — no core/ edits required. The legacy enum surface
-// (core::StrategyKind, core::strategy_from_string) is a thin wrapper over
-// these registries.
+// bench flag — no core/ edits required.
 #pragma once
 
 #include <functional>
@@ -118,11 +116,12 @@ class Registry {
   std::map<std::string, std::string> aliases_;  // alias -> canonical key
 };
 
-/// One registered strategy: a factory, plus the legacy enum tag for the four
-/// built-ins (registry-only strategies leave it empty — they work everywhere
-/// except the deprecated StrategyKind surface).
+/// One registered strategy: a factory, plus the enum tag of the four
+/// built-ins (registry-only strategies leave it empty — they run on the
+/// single-node engine only, and a report's "options" echo reads BSR for
+/// them).
 struct StrategyEntry {
-  /// Legacy enum tag of the four built-ins; empty for registry-only entries.
+  /// Enum tag of the four built-ins; empty for registry-only entries.
   std::optional<core::StrategyKind> kind;
   /// Builds the strategy object for one run; receives the whole RunConfig,
   /// so custom strategies may read any field.

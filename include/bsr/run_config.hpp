@@ -1,17 +1,19 @@
 // bsr/run_config.hpp — the single validated configuration for one experiment.
 //
-// RunConfig merges the legacy core::RunOptions + core::ExtendedOptions pair
-// into one flat, string-keyed struct: strategies, ABFT policies, and platform
-// profiles are named by their bsr::Registry keys (see bsr/registry.hpp), so a
-// scenario registered at runtime plugs into RunConfig / Sweep without touching
-// core/. The legacy structs remain as a deprecated shim for one release
-// (docs/API_MIGRATION.md maps old calls to new ones).
+// RunConfig is the one configuration every run is made from, from the
+// facade down to both engines and into RunReport. It is a flat, string-keyed
+// struct: strategies, ABFT policies, and platform profiles are named by their
+// bsr::Registry keys (see bsr/registry.hpp), so a scenario registered at
+// runtime plugs into RunConfig / Sweep without touching core/.
+// docs/API_MIGRATION.md maps the removed legacy option structs onto it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "core/options.hpp"
+#include "faultcamp/process.hpp"
+#include "var/models.hpp"
 
 namespace bsr {
 
@@ -24,12 +26,13 @@ class TraceRecorder;
 }  // namespace obs
 
 /// Re-exported per-iteration ABFT policy (adaptive / force-none / -single /
-/// -full) so facade users never spell the legacy namespaces.
+/// -full) so facade users never spell core::.
 using core::AbftPolicy;
 /// Re-exported execution mode: TimingOnly (simulated clocks) or Numeric
 /// (real kernels + real ABFT + fault injection).
 using core::ExecutionMode;
-/// Re-exported legacy strategy enum; prefer registry keys ("bsr", "sr", ...).
+/// Re-exported strategy enum: the kind tag of the four built-in registry
+/// entries (bsr::StrategyEntry::kind); configs name strategies by key.
 using core::StrategyKind;
 /// Re-exported factorization selector: Cholesky, LU, or QR.
 using predict::Factorization;
@@ -153,12 +156,6 @@ struct RunConfig {
   /// an unregistered strategy / abft_policy / platform name.
   void validate() const;
 
-  /// Lowers to the legacy RunOptions; throws for registry-only strategies
-  /// (ones without a legacy StrategyKind tag).
-  [[nodiscard]] core::RunOptions options() const;
-  /// Lowers the extension knobs to the legacy ExtendedOptions.
-  [[nodiscard]] core::ExtendedOptions extended() const;
-
   /// Canonical "key=value;" serialization of every field. Fields with no
   /// effect on the result under the current mode (recover_uncorrectable in
   /// timing-only runs) are normalized out, so the fingerprint is usable as an
@@ -170,10 +167,6 @@ struct RunConfig {
     return predict::WorkloadModel{factorization, n, block(), elem_bytes};
   }
 };
-
-/// Builds a RunConfig from the legacy option structs (migration shim).
-RunConfig from_legacy(const core::RunOptions& opts,
-                      const core::ExtendedOptions& ext = {});
 
 /// One-shot facade: validates, resolves the platform through the registry,
 /// and runs. Equivalent to core::Decomposer(make_platform(cfg.platform))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <utility>
@@ -1198,8 +1199,9 @@ ClusterReport run_cluster(const ClusterProfile& profile,
         "run_cluster: set both grid_p and grid_q (or neither for the 1-D "
         "layout)");
   }
+  // 64-bit product: an int one could wrap round to exactly num_devices().
   if (options.grid_p > 0 &&
-      options.grid_p * options.grid_q != profile.num_devices()) {
+      std::int64_t{options.grid_p} * options.grid_q != profile.num_devices()) {
     throw std::invalid_argument(
         "run_cluster: process grid " + std::to_string(options.grid_p) + "x" +
         std::to_string(options.grid_q) + " must cover exactly " +

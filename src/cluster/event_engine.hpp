@@ -13,14 +13,12 @@
 // binary min-heap over (time, seq). With a trivially-copyable Payload (the
 // cluster engine's {kind, k, d} record) an event is a few words in
 // preallocated storage — scheduling never allocates once reserve() has been
-// called, where the former std::function-per-event design paid type-erasure
-// dispatch on every fire. EventEngine keeps the std::function interface on
-// top for tests and callers that want ad-hoc handlers.
+// called, where a std::function-per-event design pays type-erasure dispatch
+// on every fire.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -83,17 +81,6 @@ class BasicEventEngine {
   SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-};
-
-/// The type-erased convenience engine: each event carries an arbitrary
-/// callable. Ad-hoc graphs and the engine tests use this; the cluster
-/// engine's hot loop uses BasicEventEngine with a POD payload instead.
-class EventEngine : public BasicEventEngine<std::function<void()>> {
- public:
-  using Handler = std::function<void()>;
-
-  /// Drains the queue, calling each handler in (time, seq) order.
-  SimTime run();
 };
 
 }  // namespace bsr::cluster

@@ -1,5 +1,5 @@
 // Locale-independent ASCII case folding, shared by registry key
-// normalization and the legacy string parsers so they can never drift.
+// normalization and the enum string parsers so they can never drift.
 #pragma once
 
 #include <string>

@@ -15,25 +15,6 @@
 
 namespace bsr {
 
-Cli::Cli(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Google Benchmark flags pass through untouched.
-    if (arg.rfind("--benchmark", 0) == 0) continue;
-    if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("unexpected positional argument: " + arg);
-    }
-    const std::string_view body = std::string_view(arg).substr(2);
-    const auto eq = body.find('=');
-    if (eq == std::string_view::npos) {
-      flags_[std::string(body)] = "1";
-    } else {
-      flags_[std::string(body.substr(0, eq))] =
-          std::string(body.substr(eq + 1));
-    }
-  }
-}
-
 Cli& Cli::add_spec(const std::string& name, Spec spec) {
   for (const auto& [existing, unused] : specs_) {
     (void)unused;

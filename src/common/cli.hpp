@@ -12,9 +12,7 @@
 //   const std::int64_t n = cli.get_int("n");
 //
 // Both --name=value and --name value are accepted; a bare --name is "1"
-// (useful for booleans). The flagless constructor-parsing mode
-// (Cli(argc, argv)) is DEPRECATED: it accepts any flag unchecked and is kept
-// for one release only.
+// (useful for booleans).
 #pragma once
 
 #include <cstdint>
@@ -28,13 +26,8 @@ namespace bsr {
 
 class Cli {
  public:
-  /// Registration mode: declare flags with arg_*(), then call parse().
+  /// Declare flags with arg_*(), then call parse().
   Cli() = default;
-
-  /// DEPRECATED legacy mode: parses argv of the form --name=value (or bare
-  /// --name, treated as "1") immediately, accepting unknown flags silently.
-  /// Unrecognized positional arguments throw.
-  Cli(int argc, char** argv);
 
   // -- registration (chainable) -----------------------------------------------
   Cli& arg_int(const std::string& name, std::int64_t def,
@@ -73,7 +66,8 @@ class Cli {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
-  /// Explicit-default getters (the only lookups available in legacy mode).
+  /// Explicit-default getters: `def` (not the registered default) when the
+  /// flag was not given on the command line.
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;

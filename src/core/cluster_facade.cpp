@@ -163,7 +163,7 @@ cluster::ClusterProfile profile_for(const RunConfig& cfg) {
 
 core::RunReport wrap(const RunConfig& cfg, const cluster::ClusterReport& cr) {
   core::RunReport report;
-  report.options = cfg.options();
+  report.config = core::as_run(cfg);
   report.strategy_name = strategies().canonical(cfg.strategy);
   report.trace.total_time = cr.makespan;
   report.trace.cpu_energy_j = cr.host.energy_j;

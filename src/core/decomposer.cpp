@@ -1,6 +1,7 @@
 #include "core/decomposer.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -44,28 +45,31 @@ class NumericRunnerBase {
 template <typename T>
 class NumericRunner final : public NumericRunnerBase {
  public:
-  NumericRunner(const RunOptions& opts, const hw::DeviceModel& gpu)
-      : opts_(opts), gpu_(gpu), injector_(Rng(opts.seed ^ 0xFA17FA17ull)) {
-    Rng rng(opts.seed);
-    a_ = la::Matrix<T>(opts.n, opts.n);
-    if (opts.factorization == predict::Factorization::Cholesky) {
+  NumericRunner(const RunConfig& cfg, const hw::DeviceModel& gpu)
+      : cfg_(cfg),
+        b_(cfg.block()),
+        gpu_(gpu),
+        injector_(Rng(cfg.seed ^ 0xFA17FA17ull)) {
+    Rng rng(cfg.seed);
+    a_ = la::Matrix<T>(cfg.n, cfg.n);
+    if (cfg.factorization == predict::Factorization::Cholesky) {
       la::fill_spd(a_.view(), rng);
     } else {
       la::fill_random(a_.view(), rng);
     }
     a0_ = a_;
-    if (opts.factorization == predict::Factorization::LU) {
-      ipiv_.assign(opts.n, 0);
+    if (cfg.factorization == predict::Factorization::LU) {
+      ipiv_.assign(cfg.n, 0);
     }
-    if (opts.factorization == predict::Factorization::QR) {
-      tau_.assign(opts.n, T(0));
+    if (cfg.factorization == predict::Factorization::QR) {
+      tau_.assign(cfg.n, T(0));
     }
   }
 
   int run_iteration(const sched::IterationOutcome& o,
                     abft::AbftStats& stats) override {
     recoveries_ = 0;
-    switch (opts_.factorization) {
+    switch (cfg_.factorization) {
       case predict::Factorization::Cholesky: iterate_cholesky(o, stats); break;
       case predict::Factorization::LU: iterate_lu(o, stats); break;
       case predict::Factorization::QR: iterate_qr(o, stats); break;
@@ -78,7 +82,7 @@ class NumericRunner final : public NumericRunnerBase {
   }
 
   [[nodiscard]] double final_residual() const override {
-    switch (opts_.factorization) {
+    switch (cfg_.factorization) {
       case predict::Factorization::Cholesky:
         return la::cholesky_residual(a0_.view(), a_.view());
       case predict::Factorization::LU:
@@ -110,10 +114,10 @@ class NumericRunner final : public NumericRunnerBase {
   }
 
   void iterate_lu(const sched::IterationOutcome& o, abft::AbftStats& stats) {
-    const idx n = opts_.n;
-    const idx j0 = static_cast<idx>(o.k) * opts_.b;
+    const idx n = cfg_.n;
+    const idx j0 = static_cast<idx>(o.k) * b_;
     const idx m = n - j0;
-    const idx bb = std::min<idx>(opts_.b, m);
+    const idx bb = std::min<idx>(b_, m);
     const idx mt = m - bb;
 
     std::vector<idx> piv;
@@ -141,11 +145,11 @@ class NumericRunner final : public NumericRunnerBase {
     // Genuine ABFT flow: encode the pre-update trailing matrix, propagate the
     // checksums *through* the GEMM (no re-encode), then detect/correct.
     la::Matrix<T> snapshot;
-    if (opts_.recover_uncorrectable) snapshot = la::to_matrix(c.as_const());
+    if (cfg_.recover_uncorrectable) snapshot = la::to_matrix(c.as_const());
     abft::BlockChecksums<T> chk(mt, mt, bb, o.abft_mode);
     chk.encode(c.as_const());
     abft::protected_gemm_update(c, l21, u12, chk);
-    if (expose_and_scrub(c, &chk, o, stats) > 0 && opts_.recover_uncorrectable) {
+    if (expose_and_scrub(c, &chk, o, stats) > 0 && cfg_.recover_uncorrectable) {
       // Roll back and recompute the trailing update at a safe clock.
       la::copy_into(snapshot.view().as_const(), c);
       la::gemm(la::Op::NoTrans, la::Op::NoTrans, T(-1), l21, u12, T(1), c);
@@ -156,10 +160,10 @@ class NumericRunner final : public NumericRunnerBase {
 
   void iterate_cholesky(const sched::IterationOutcome& o,
                         abft::AbftStats& stats) {
-    const idx n = opts_.n;
-    const idx j0 = static_cast<idx>(o.k) * opts_.b;
+    const idx n = cfg_.n;
+    const idx j0 = static_cast<idx>(o.k) * b_;
     const idx m = n - j0;
-    const idx bb = std::min<idx>(opts_.b, m);
+    const idx bb = std::min<idx>(b_, m);
     const idx mt = m - bb;
 
     auto akk = a_.block(j0, j0, bb, bb);
@@ -185,11 +189,11 @@ class NumericRunner final : public NumericRunnerBase {
       return;
     }
     la::Matrix<T> snapshot;
-    if (opts_.recover_uncorrectable) snapshot = la::to_matrix(c.as_const());
+    if (cfg_.recover_uncorrectable) snapshot = la::to_matrix(c.as_const());
     abft::BlockChecksums<T> chk(mt, mt, bb, o.abft_mode);
     chk.encode(c.as_const());
     abft::protected_gemm_update(c, l21, l21t.view().as_const(), chk);
-    if (expose_and_scrub(c, &chk, o, stats) > 0 && opts_.recover_uncorrectable) {
+    if (expose_and_scrub(c, &chk, o, stats) > 0 && cfg_.recover_uncorrectable) {
       la::copy_into(snapshot.view().as_const(), c);
       la::gemm(la::Op::NoTrans, la::Op::NoTrans, T(-1), l21,
                l21t.view().as_const(), T(1), c);
@@ -199,10 +203,10 @@ class NumericRunner final : public NumericRunnerBase {
   }
 
   void iterate_qr(const sched::IterationOutcome& o, abft::AbftStats& stats) {
-    const idx n = opts_.n;
-    const idx j0 = static_cast<idx>(o.k) * opts_.b;
+    const idx n = cfg_.n;
+    const idx j0 = static_cast<idx>(o.k) * b_;
     const idx m = n - j0;
-    const idx bb = std::min<idx>(opts_.b, m);
+    const idx bb = std::min<idx>(b_, m);
     const idx tc = n - j0 - bb;
 
     std::vector<T> ptau;
@@ -215,7 +219,7 @@ class NumericRunner final : public NumericRunnerBase {
     la::larft(v, ptau.data(), t.view());
     auto c = a_.block(j0, j0 + bb, m, tc);
     la::Matrix<T> snapshot;
-    if (opts_.recover_uncorrectable && o.abft_mode != abft::ChecksumMode::None) {
+    if (cfg_.recover_uncorrectable && o.abft_mode != abft::ChecksumMode::None) {
       snapshot = la::to_matrix(c.as_const());
     }
     la::larfb_left_trans(v, t.view().as_const(), c);
@@ -229,7 +233,7 @@ class NumericRunner final : public NumericRunnerBase {
     // iteration (detection interval unchanged; cost charged via Table 2).
     abft::BlockChecksums<T> chk(m, tc, bb, o.abft_mode);
     chk.encode(c.as_const());
-    if (expose_and_scrub(c, &chk, o, stats) > 0 && opts_.recover_uncorrectable) {
+    if (expose_and_scrub(c, &chk, o, stats) > 0 && cfg_.recover_uncorrectable) {
       la::copy_into(snapshot.view().as_const(), c);
       la::larfb_left_trans(v, t.view().as_const(), c);
       ++stats.recoveries;
@@ -237,7 +241,8 @@ class NumericRunner final : public NumericRunnerBase {
     }
   }
 
-  RunOptions opts_;
+  const RunConfig& cfg_;
+  const idx b_;  ///< cfg_.block(), the resolved panel width
   const hw::DeviceModel& gpu_;
   fault::Injector injector_;
   int recoveries_ = 0;
@@ -252,14 +257,6 @@ class NumericRunner final : public NumericRunnerBase {
 Decomposer::Decomposer(hw::PlatformProfile platform)
     : platform_(std::move(platform)) {}
 
-std::unique_ptr<energy::Strategy> Decomposer::make_strategy(
-    StrategyKind kind, const predict::WorkloadModel& wl, const RunOptions& opts,
-    const ExtendedOptions& ext) {
-  RunOptions named = opts;
-  named.strategy = kind;
-  return bsr::make_strategy(from_legacy(named, ext), wl);
-}
-
 RunReport Decomposer::run(const RunConfig& cfg) const {
   cfg.validate();
   if (cfg.devices >= 1) {
@@ -267,72 +264,53 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
     // single-node platform does not apply.
     return bsr::run_cluster(cfg);
   }
-  // Lower to the legacy structs the pipeline still speaks. Registry-only
-  // strategies carry no StrategyKind; the report's legacy `options.strategy`
-  // field is then a placeholder (BSR) — SweepRow::config keeps the real name.
   const StrategyEntry& entry = strategies().get(cfg.strategy);
-  RunConfig lowered = cfg;
-  lowered.strategy = "bsr";
-  RunOptions opts = lowered.options();
-  opts.strategy = entry.kind.value_or(StrategyKind::BSR);
-  const ExtendedOptions ext = cfg.extended();
-  const auto strategy = entry.make(cfg, opts.workload());
-  RunReport report = run_with(opts, ext, *strategy);
-  if (!entry.kind) {
-    // No StrategyKind exists for registry-only strategies; record the real
-    // name so summarize()/consumers do not mislabel the run as BSR.
-    report.strategy_name = strategies().canonical(cfg.strategy);
-  }
-  return report;
-}
+  const AbftPolicy abft_policy = abft_policies().get(cfg.abft_policy);
+  const predict::WorkloadModel wl = cfg.workload();
+  const auto strategy = entry.make(cfg, wl);
 
-RunReport Decomposer::run(const RunOptions& opts, const ExtendedOptions& ext) const {
-  const auto strategy = make_strategy(opts.strategy, opts.workload(), opts, ext);
-  return run_with(opts, ext, *strategy);
-}
-
-RunReport Decomposer::run_with(const RunOptions& opts, const ExtendedOptions& ext,
-                               energy::Strategy& strategy) const {
-  if (opts.n <= 0 || opts.b <= 0 || opts.b > opts.n) {
-    throw std::invalid_argument("RunOptions: need 0 < b <= n");
-  }
-  const predict::WorkloadModel wl = opts.workload();
-  sched::PipelineConfig cfg;
-  cfg.workload = wl;
-  cfg.noise.enabled = opts.noise_enabled;
-  cfg.seed = opts.seed;
-  cfg.variability = opts.variability;
-  cfg.faults = opts.faults;
-  cfg.trace = opts.trace;
+  sched::PipelineConfig pc;
+  pc.workload = wl;
+  pc.noise.enabled = cfg.noise_enabled;
+  pc.seed = cfg.seed;
+  pc.variability = cfg.variability;
+  pc.faults = cfg.faults;
+  pc.trace = cfg.trace;
   // The error-rate multiplier rescales the *platform* so the coverage math,
   // the BSR/ABFT-OC frequency policy, and the fault injector all observe the
   // same world (DESIGN.md: exposure compression for reduced-size numerics).
   // The deep copy is skipped at the default multiplier (sweeps run thousands
   // of cells; the copy was pure overhead on every one of them).
   std::optional<hw::PlatformProfile> scaled;
-  if (opts.error_rate_multiplier != 1.0) {
+  if (cfg.error_rate_multiplier != 1.0) {
     scaled = platform_;
-    scaled->gpu.errors = scaled->gpu.errors.scaled(opts.error_rate_multiplier);
+    scaled->gpu.errors = scaled->gpu.errors.scaled(cfg.error_rate_multiplier);
   }
   const hw::PlatformProfile& platform = scaled ? *scaled : platform_;
-  sched::HybridPipeline pipe(platform, cfg);
+  sched::HybridPipeline pipe(platform, pc);
 
   RunReport report;
-  report.options = opts;
+  report.config = as_run(cfg);
+  if (!entry.kind) {
+    // Registry-only strategies have no StrategyKind, so the "options" echo
+    // reads BSR for them; record the real name so summarize() and consumers
+    // do not mislabel the run.
+    report.strategy_name = strategies().canonical(cfg.strategy);
+  }
 
   std::unique_ptr<NumericRunnerBase> numeric;
-  if (opts.mode == ExecutionMode::Numeric) {
-    if (opts.elem_bytes == 4) {
-      numeric = std::make_unique<NumericRunner<float>>(opts, platform.gpu);
+  if (cfg.mode == ExecutionMode::Numeric) {
+    if (cfg.elem_bytes == 4) {
+      numeric = std::make_unique<NumericRunner<float>>(cfg, platform.gpu);
     } else {
-      numeric = std::make_unique<NumericRunner<double>>(opts, platform.gpu);
+      numeric = std::make_unique<NumericRunner<double>>(cfg, platform.gpu);
     }
     report.numeric_executed = true;
   }
 
   for (int k = 0; k < pipe.num_iterations(); ++k) {
-    sched::IterationDecision d = strategy.decide(k, pipe);
-    switch (ext.abft_policy) {
+    sched::IterationDecision d = strategy->decide(k, pipe);
+    switch (abft_policy) {
       case AbftPolicy::Adaptive: break;
       case AbftPolicy::ForceNone: d.abft_mode = abft::ChecksumMode::None; break;
       case AbftPolicy::ForceSingle:
@@ -341,7 +319,7 @@ RunReport Decomposer::run_with(const RunOptions& opts, const ExtendedOptions& ex
       case AbftPolicy::ForceFull: d.abft_mode = abft::ChecksumMode::Full; break;
     }
     const sched::IterationOutcome o = pipe.run_iteration(k, d);
-    strategy.observe(k, o);
+    strategy->observe(k, o);
     report.trace.add(o);
     switch (o.abft_mode) {
       case abft::ChecksumMode::None: ++report.abft.iterations_unprotected; break;
@@ -375,7 +353,7 @@ RunReport Decomposer::run_with(const RunOptions& opts, const ExtendedOptions& ex
     report.numeric_correct = report.residual < numeric->threshold();
   }
 
-  if (opts.faults.enabled) {
+  if (cfg.faults.enabled) {
     // Aggregate the statistical fault campaign (faultcamp/process.hpp) into
     // the run-level ABFT stats and the per-lane accounting. The recovery
     // time below is already inside trace.total_time — it delayed the GPU

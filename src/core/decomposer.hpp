@@ -11,11 +11,8 @@
 //   std::cout << report.total_energy_j() << " J\n";
 #pragma once
 
-#include <memory>
-
 #include "bsr/run_config.hpp"
 #include "core/report.hpp"
-#include "energy/strategy.hpp"
 #include "hw/platform.hpp"
 
 namespace bsr::core {
@@ -27,30 +24,14 @@ class Decomposer {
 
   [[nodiscard]] const hw::PlatformProfile& platform() const { return platform_; }
 
-  /// Runs one factorization under a validated RunConfig; the strategy and
-  /// ABFT policy are resolved through the bsr:: registries, so registry-only
-  /// strategies work here. The config's `platform` key is ignored — this
-  /// Decomposer's platform is used (bsr::run(cfg) resolves the key).
+  /// Validates `cfg`, then runs one factorization under it; the strategy
+  /// and ABFT policy are resolved through the bsr:: registries, so
+  /// registry-only strategies work here. The config's `platform` key is
+  /// ignored — this Decomposer's platform is used (bsr::run(cfg) resolves the
+  /// key). Configs with devices >= 1 run on the cluster engine instead.
   [[nodiscard]] RunReport run(const RunConfig& cfg) const;
 
-  /// DEPRECATED shims for the legacy RunOptions/ExtendedOptions pair; new
-  /// code should pass a RunConfig. Kept for one release.
-  [[nodiscard]] RunReport run(const RunOptions& opts) const {
-    return run(opts, ExtendedOptions{});
-  }
-  [[nodiscard]] RunReport run(const RunOptions& opts,
-                              const ExtendedOptions& ext) const;
-
-  /// Builds the strategy object for a kind (exposed for tests and benches).
-  /// Thin wrapper over the bsr::strategies() registry.
-  static std::unique_ptr<energy::Strategy> make_strategy(
-      StrategyKind kind, const predict::WorkloadModel& wl,
-      const RunOptions& opts, const ExtendedOptions& ext = ExtendedOptions{});
-
  private:
-  RunReport run_with(const RunOptions& opts, const ExtendedOptions& ext,
-                     energy::Strategy& strategy) const;
-
   hw::PlatformProfile platform_;
 };
 

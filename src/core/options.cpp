@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "bsr/registry.hpp"
 #include "common/ascii.hpp"
 
 namespace bsr::core {
@@ -25,31 +24,6 @@ const char* to_string(StrategyKind s) {
 
 const char* to_string(ExecutionMode m) {
   return m == ExecutionMode::TimingOnly ? "TimingOnly" : "Numeric";
-}
-
-const char* to_string(AbftPolicy p) {
-  switch (p) {
-    case AbftPolicy::Adaptive: return "Adaptive";
-    case AbftPolicy::ForceNone: return "ForceNone";
-    case AbftPolicy::ForceSingle: return "ForceSingle";
-    case AbftPolicy::ForceFull: return "ForceFull";
-  }
-  return "?";
-}
-
-StrategyKind strategy_from_string(const std::string& s) {
-  const StrategyEntry& entry = strategies().get(s);
-  if (!entry.kind) {
-    throw std::invalid_argument(
-        "strategy \"" + s +
-        "\" is registry-only (no legacy StrategyKind); use the bsr::RunConfig "
-        "API");
-  }
-  return *entry.kind;
-}
-
-AbftPolicy abft_policy_from_string(const std::string& s) {
-  return abft_policies().get(s);
 }
 
 predict::Factorization factorization_from_string(const std::string& s) {

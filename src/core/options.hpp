@@ -1,16 +1,11 @@
-// Public run options for the BSR decomposition framework.
+// The enums behind bsr::RunConfig's typed fields, plus the block-size tuner.
+// The run configuration itself is bsr::RunConfig (include/bsr/run_config.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "faultcamp/process.hpp"
 #include "predict/workload.hpp"
-#include "var/models.hpp"
-
-namespace bsr::obs {
-class TraceRecorder;
-}  // namespace bsr::obs
 
 namespace bsr::core {
 
@@ -23,7 +18,7 @@ enum class StrategyKind {
   BSR,       ///< Bi-directional reclamation (paper Algorithm 2): split slack
              ///< between down-clocking the non-critical device and
              ///< overclocking the critical one, steered by
-             ///< RunOptions::reclamation_ratio.
+             ///< RunConfig::reclamation_ratio.
 };
 
 /// TimingOnly runs the full scheduling/strategy/prediction machinery against
@@ -42,66 +37,6 @@ enum class AbftPolicy {
   ForceFull,    ///< Full checksums every iteration (strongest, costliest).
 };
 
-/// Options for one Decomposer::run. Defaults reproduce the paper's headline
-/// configuration: LU, n = 30720, b = 512, BSR with r = 0 (maximum energy
-/// saving), timing-only execution.
-struct RunOptions {
-  predict::Factorization factorization = predict::Factorization::LU;
-  std::int64_t n = 30720;           ///< matrix order
-  std::int64_t b = 512;             ///< block (panel) size; see tuned_block()
-  StrategyKind strategy = StrategyKind::BSR;
-  /// BSR's r in [0, 1]: the fraction of each iteration's slack left
-  /// unreclaimed by overclocking. r = 0 maximizes energy saving; r = r*
-  /// (see energy/pareto.hpp) is energy-neutral with maximum speedup.
-  double reclamation_ratio = 0.0;
-  double fc_desired = 0.999999;     ///< target ABFT fault coverage
-  ExecutionMode mode = ExecutionMode::TimingOnly;
-  std::uint64_t seed = 42;          ///< root seed for all stochastic parts
-  /// Scales the platform's entire SDC-rate table for this run, so the
-  /// coverage estimators, the BSR/ABFT-OC frequency policy, and the fault
-  /// injector all observe one consistent (compressed-exposure) world —
-  /// reduced-size numeric runs then see paper-scale fault counts. See
-  /// DESIGN.md on exposure compression.
-  double error_rate_multiplier = 1.0;
-  bool noise_enabled = true;  ///< per-task execution-time jitter on/off
-  int elem_bytes = 8;  ///< 8 = double precision, 4 = single
-  /// Numeric mode: when ABFT *detects* an error pattern it cannot correct,
-  /// roll the trailing update back and recompute it at a safe clock instead
-  /// of letting the corruption propagate. The redo's time and energy are
-  /// charged to the run (the "recovery with high overhead" the paper
-  /// mentions as the alternative to sufficient checksum strength).
-  bool recover_uncorrectable = false;
-  /// Stochastic execution models (efficiency drift, transfer/DVFS jitter,
-  /// thermal throttling); disabled by default. See bsr/variability.hpp.
-  var::Spec variability;
-  /// Seeded statistical fault processes + recovery-cost model (timing-only
-  /// runs; numeric runs inject real faults instead); disabled by default.
-  /// See bsr/faults.hpp.
-  faultcamp::Spec faults;
-  /// Optional span recorder carried through from RunConfig::trace (see
-  /// bsr/observability.hpp); null = tracing off, bit-for-bit inert.
-  obs::TraceRecorder* trace = nullptr;
-
-  [[nodiscard]] predict::WorkloadModel workload() const {
-    return predict::WorkloadModel{factorization, n, b, elem_bytes};
-  }
-};
-
-/// Knobs beyond RunOptions that benches use to isolate single ingredients;
-/// the defaults are the paper's full BSR configuration.
-///
-/// DEPRECATED: RunOptions + ExtendedOptions are kept as a compatibility shim
-/// for one release. New code should use the merged `bsr::RunConfig`
-/// (include/bsr/run_config.hpp); see docs/API_MIGRATION.md.
-struct ExtendedOptions {
-  AbftPolicy abft_policy = AbftPolicy::Adaptive;
-
-  // BSR ablation switches (bench_ablation; all on = the paper's BSR).
-  bool bsr_use_optimized_guardband = true;
-  bool bsr_allow_overclocking = true;
-  bool bsr_use_enhanced_predictor = true;
-};
-
 /// Performance-tuned block size for a given matrix order, mirroring the
 /// paper's "block size tuned for performance": roughly n/60 blocks rounded to
 /// the 64-grid and clamped to [64, 512] (512 at the paper's n = 30720).
@@ -109,15 +44,7 @@ std::int64_t tuned_block(std::int64_t n);
 
 const char* to_string(StrategyKind s);
 const char* to_string(ExecutionMode m);
-const char* to_string(AbftPolicy p);
 
-/// Parses "original" / "r2h" / "sr" / "bsr" (case-insensitive); throws on
-/// anything else. Thin wrapper over bsr::strategies() — only registry entries
-/// carrying a legacy StrategyKind tag (the four built-ins) resolve here.
-StrategyKind strategy_from_string(const std::string& s);
-/// Parses "adaptive" / "none" / "single" / "full" (case-insensitive) through
-/// bsr::abft_policies(); throws on anything else.
-AbftPolicy abft_policy_from_string(const std::string& s);
 predict::Factorization factorization_from_string(const std::string& s);
 
 }  // namespace bsr::core

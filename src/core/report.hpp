@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "abft/verify.hpp"
+#include "bsr/run_config.hpp"
 #include "cluster/report.hpp"
-#include "core/options.hpp"
 #include "sched/timeline.hpp"
 
 namespace bsr::core {
@@ -25,11 +25,16 @@ struct LaneFaults {
 };
 
 struct RunReport {
-  RunOptions options;
-  /// The strategy's registry key ("bsr", "original", or a runtime-registered
-  /// name). Authoritative where `options.strategy` is not: registry-only
-  /// strategies have no StrategyKind, so the enum field holds a BSR
-  /// placeholder for them.
+  /// The configuration as run: `b` resolved to the effective block size and
+  /// `trace` null (a report may outlive the caller's recorder). Serialized
+  /// reports echo only the paper's per-run knobs (the "options" object, see
+  /// serve/report_json.hpp), so in a deserialized report every other field —
+  /// abft_policy, the BSR switches, platform, devices and the cluster layout
+  /// among them — reads back as its RunConfig default.
+  RunConfig config;
+  /// Empty for single-node runs of the four built-in strategies; otherwise
+  /// the strategy's canonical registry key (every cluster run, and
+  /// registry-only strategies, whose echoed kind reads BSR).
   std::string strategy_name;
   sched::RunTrace trace;
   abft::AbftStats abft;
@@ -39,7 +44,7 @@ struct RunReport {
   bool numeric_correct = true;   ///< residual below threshold
 
   /// Cost of redoing trailing updates after uncorrectable detections
-  /// (RunOptions::recover_uncorrectable); included in seconds()/energy.
+  /// (RunConfig::recover_uncorrectable); included in seconds()/energy.
   SimTime recovery_time;
   double recovery_energy_j = 0.0;
 
@@ -70,7 +75,7 @@ struct RunReport {
   }
   [[nodiscard]] double gflops() const {
     const double t = seconds();
-    return t <= 0.0 ? 0.0 : options.workload().total_flops() / t / 1e9;
+    return t <= 0.0 ? 0.0 : config.workload().total_flops() / t / 1e9;
   }
 
   /// Total faults sampled into the run's lanes (0 when faults were off).
@@ -112,5 +117,14 @@ struct RunReport {
     return baseline.seconds() / seconds();
   }
 };
+
+/// The StrategyKind spelling ("Original", "R2H", "SR", "BSR") of
+/// `config.strategy`, as reports echo and summarize() prints it; registry-only
+/// strategies have no kind and read "BSR".
+const char* strategy_kind_name(const RunConfig& config);
+
+/// The config a report carries (RunReport::config): `config` with `b`
+/// resolved by block() and `trace` null.
+RunConfig as_run(const RunConfig& config);
 
 }  // namespace bsr::core

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
 #include "bsr/cluster.hpp"
 #include "bsr/registry.hpp"
-#include "common/ascii.hpp"
 #include "core/decomposer.hpp"
 #include "faultcamp/process.hpp"
 #include "var/models.hpp"
@@ -109,42 +109,15 @@ void RunConfig::validate() const {
            std::to_string(grid_p) + ", grid_q=" + std::to_string(grid_q) +
            ")");
     }
-    if (grid_p > 0 && grid_p * grid_q != devices) {
+    // The product is taken in 64 bits: daemon requests set both factors,
+    // and an int product could wrap round to exactly `devices`.
+    const std::int64_t cells = std::int64_t{grid_p} * grid_q;
+    if (grid_p > 0 && cells != devices) {
       fail("process grid " + std::to_string(grid_p) + "x" +
            std::to_string(grid_q) + " must cover exactly devices=" +
-           std::to_string(devices) + " (got " +
-           std::to_string(grid_p * grid_q) + ")");
+           std::to_string(devices) + " (got " + std::to_string(cells) + ")");
     }
   }
-}
-
-core::RunOptions RunConfig::options() const {
-  core::RunOptions o;
-  o.factorization = factorization;
-  o.n = n;
-  o.b = block();
-  o.strategy = core::strategy_from_string(strategy);
-  o.reclamation_ratio = reclamation_ratio;
-  o.fc_desired = fc_desired;
-  o.mode = mode;
-  o.seed = seed;
-  o.error_rate_multiplier = error_rate_multiplier;
-  o.noise_enabled = noise_enabled;
-  o.elem_bytes = elem_bytes;
-  o.recover_uncorrectable = recover_uncorrectable;
-  o.variability = variability;
-  o.faults = faults;
-  o.trace = trace;
-  return o;
-}
-
-core::ExtendedOptions RunConfig::extended() const {
-  core::ExtendedOptions e;
-  e.abft_policy = abft_policies().get(abft_policy);
-  e.bsr_use_optimized_guardband = bsr_use_optimized_guardband;
-  e.bsr_allow_overclocking = bsr_allow_overclocking;
-  e.bsr_use_enhanced_predictor = bsr_use_enhanced_predictor;
-  return e;
 }
 
 std::string RunConfig::fingerprint() const {
@@ -229,39 +202,6 @@ std::string RunConfig::fingerprint() const {
   // trial's faults-off baseline shares the deterministic world's cache key.
   fp += ';' + faultcamp::fingerprint_fragment(faults);
   return fp;
-}
-
-RunConfig from_legacy(const core::RunOptions& opts,
-                      const core::ExtendedOptions& ext) {
-  RunConfig cfg;
-  cfg.factorization = opts.factorization;
-  cfg.n = opts.n;
-  cfg.b = opts.b;
-  cfg.elem_bytes = opts.elem_bytes;
-  cfg.strategy = ascii_lower(core::to_string(opts.strategy));
-  cfg.reclamation_ratio = opts.reclamation_ratio;
-  cfg.fc_desired = opts.fc_desired;
-  cfg.bsr_use_optimized_guardband = ext.bsr_use_optimized_guardband;
-  cfg.bsr_allow_overclocking = ext.bsr_allow_overclocking;
-  cfg.bsr_use_enhanced_predictor = ext.bsr_use_enhanced_predictor;
-  cfg.abft_policy = [&] {
-    switch (ext.abft_policy) {
-      case AbftPolicy::Adaptive: return "adaptive";
-      case AbftPolicy::ForceNone: return "none";
-      case AbftPolicy::ForceSingle: return "single";
-      case AbftPolicy::ForceFull: return "full";
-    }
-    return "adaptive";
-  }();
-  cfg.recover_uncorrectable = opts.recover_uncorrectable;
-  cfg.mode = opts.mode;
-  cfg.seed = opts.seed;
-  cfg.error_rate_multiplier = opts.error_rate_multiplier;
-  cfg.noise_enabled = opts.noise_enabled;
-  cfg.variability = opts.variability;
-  cfg.faults = opts.faults;
-  cfg.trace = opts.trace;
-  return cfg;
 }
 
 core::RunReport run(const RunConfig& cfg) {

@@ -19,6 +19,9 @@
 
 namespace bsr::hw {
 
+/// The two lanes of the single-node platform.
+enum class DeviceId { Cpu = 0, Gpu = 1 };
+
 struct DeviceModel {
   std::string name;
   FrequencyDomain freq;

@@ -186,35 +186,30 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
   const double gpu_idle_p =
       d.halt_idle_gpu ? halted_idle_power(gpu, fg) : gpu.idle_power(fg);
 
-  SimTime at = now_;
-  auto rec = [&](hw::DeviceId dev, SimTime dur, double p, const char* tag,
-                 double& sink) {
-    meter_.record(dev, at, dur, p, tag);
-    sink += p * dur.seconds();
-  };
-
+  // One term per lane segment, added in lane order: regrouping the sum would
+  // change the last bits of the energies.
   // CPU lane: dvfs -> transfer (DMA; CPU effectively idle) -> PD -> idle.
-  rec(hw::DeviceId::Cpu, cpu_dvfs_lat, cpu_idle_p, "dvfs", o.cpu_energy_j);
-  rec(hw::DeviceId::Cpu, t.transfer, cpu_idle_p, "transfer", o.cpu_energy_j);
-  rec(hw::DeviceId::Cpu, t.pd, cpu_busy_p, "PD", o.cpu_energy_j);
-  rec(hw::DeviceId::Cpu, o.span - o.cpu_lane, cpu_idle_p, "idle", o.cpu_energy_j);
+  o.cpu_energy_j += cpu_idle_p * cpu_dvfs_lat.seconds();
+  o.cpu_energy_j += cpu_idle_p * t.transfer.seconds();
+  o.cpu_energy_j += cpu_busy_p * t.pd.seconds();
+  o.cpu_energy_j += cpu_idle_p * (o.span - o.cpu_lane).seconds();
 
   // GPU lane: dvfs -> PU+TMU -> ABFT -> correction/rollback -> idle.
-  rec(hw::DeviceId::Gpu, gpu_dvfs_lat, gpu_idle_p, "dvfs", o.gpu_energy_j);
-  rec(hw::DeviceId::Gpu, o.pu_tmu, gpu_busy_p, "TMU+PU", o.gpu_energy_j);
-  rec(hw::DeviceId::Gpu, o.abft_time, gpu_busy_p, "abft", o.gpu_energy_j);
+  o.gpu_energy_j += gpu_idle_p * gpu_dvfs_lat.seconds();
+  o.gpu_energy_j += gpu_busy_p * o.pu_tmu.seconds();
+  o.gpu_energy_j += gpu_busy_p * o.abft_time.seconds();
   if (correction > SimTime::zero()) {
     // Checksum corrections run in-lane at the window's clock.
-    rec(hw::DeviceId::Gpu, correction, gpu_busy_p, "correct", o.gpu_energy_j);
+    o.gpu_energy_j += gpu_busy_p * correction.seconds();
   }
   if (rollback > SimTime::zero()) {
     // The rollback recompute runs at the base clock with the safe default
     // guardband — no SDCs can strike the redo.
-    rec(hw::DeviceId::Gpu, rollback,
-        gpu.busy_power(gpu.freq.base_mhz, hw::Guardband::Default), "rollback",
-        o.gpu_energy_j);
+    o.gpu_energy_j +=
+        gpu.busy_power(gpu.freq.base_mhz, hw::Guardband::Default) *
+        rollback.seconds();
   }
-  rec(hw::DeviceId::Gpu, o.span - o.gpu_lane, gpu_idle_p, "idle", o.gpu_energy_j);
+  o.gpu_energy_j += gpu_idle_p * (o.span - o.gpu_lane).seconds();
 
   // --- Base-clock-normalized profiles for the predictors ----------------------
   const double cpu_scale = std::pow(

@@ -2,15 +2,16 @@
 //
 // Executes one iteration at a time under a strategy-supplied
 // IterationDecision, advancing a deterministic simulated clock, integrating
-// energy through the platform's power models, and reporting measured
-// durations back for the predictors. A calibrated efficiency-drift + noise
-// model perturbs task times the way real kernels drift as the trailing matrix
-// shrinks — this is what separates the enhanced slack predictor from the
-// first-iteration baseline (paper Fig. 8).
+// each lane's energy (power x duration per segment) into the iteration's
+// IterationOutcome, and reporting measured durations back for the
+// predictors. A calibrated efficiency-drift + noise model perturbs task times
+// the way real kernels drift as the trailing matrix shrinks — this is what
+// separates the enhanced slack predictor from the first-iteration baseline
+// (paper Fig. 8).
 #pragma once
 
 #include "common/rng.hpp"
-#include "hw/energy_meter.hpp"
+#include "hw/platform.hpp"
 #include "obs/trace.hpp"
 #include "sched/tasks.hpp"
 #include "sched/timeline.hpp"
@@ -75,7 +76,6 @@ class HybridPipeline {
   [[nodiscard]] hw::Mhz cpu_freq() const { return cpu_dvfs_.current(); }
   [[nodiscard]] hw::Mhz gpu_freq() const { return gpu_dvfs_.current(); }
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] const hw::EnergyMeter& meter() const { return meter_; }
 
   /// Noise factor applied to a lane at iteration k (exposed so strategies'
   /// oracles in tests can reason about ground truth).
@@ -95,7 +95,6 @@ class HybridPipeline {
   PipelineConfig config_;
   hw::DvfsController cpu_dvfs_;
   hw::DvfsController gpu_dvfs_;
-  hw::EnergyMeter meter_;
   SimTime now_;
   std::vector<double> cpu_noise_;  ///< precomputed per-iteration factors
   std::vector<double> gpu_noise_;

@@ -1,7 +1,11 @@
 #include "serve/report_json.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
+
+#include "common/ascii.hpp"
 
 namespace bsr::serve {
 
@@ -16,11 +20,11 @@ namespace {
 // exactly those spellings (registry-key case-insensitivity is a CLI nicety,
 // not a wire-format one — this module only reads its own output).
 
-core::StrategyKind strategy_kind_from(const std::string& s) {
-  if (s == "Original") return core::StrategyKind::Original;
-  if (s == "R2H") return core::StrategyKind::R2H;
-  if (s == "SR") return core::StrategyKind::SR;
-  if (s == "BSR") return core::StrategyKind::BSR;
+/// The strategies() key of a StrategyKind spelling (each lowercases to it).
+std::string strategy_key_from(const std::string& s) {
+  if (s == "Original" || s == "R2H" || s == "SR" || s == "BSR") {
+    return ascii_lower(s);
+  }
   fail("unknown StrategyKind \"" + s + "\"");
 }
 
@@ -51,7 +55,16 @@ abft::ChecksumMode checksum_mode_from(std::int64_t v) {
 
 // ---- field helpers ----------------------------------------------------------
 
-int as_int(const JsonValue& v) { return static_cast<int>(v.to_int64()); }
+// Refuses rather than narrows: a wrapped value (4294967298 -> 2) would be a
+// different, valid-looking config.
+int as_int(const JsonValue& v) {
+  const std::int64_t x = v.to_int64();
+  if (x < std::numeric_limits<int>::min() ||
+      x > std::numeric_limits<int>::max()) {
+    fail("integer " + std::to_string(x) + " is out of int range");
+  }
+  return static_cast<int>(x);
+}
 
 SimTime as_time(const JsonValue& v) { return SimTime(v.to_int64()); }
 
@@ -121,47 +134,50 @@ faultcamp::Spec read_faults(const JsonValue& v) {
   return s;
 }
 
-// ---- core::RunOptions -------------------------------------------------------
+// ---- RunReport::config: the "options" echo ---------------------------------
+// A report echoes the paper's per-run knobs of the config it ran, with the
+// strategy in its StrategyKind spelling; the other RunConfig fields are not
+// stored and read back as defaults.
 
-void write_options(JsonWriter& w, const core::RunOptions& o) {
+void write_options(JsonWriter& w, const RunConfig& c) {
   w.obj_open();
-  w.key("factorization").value(predict::to_string(o.factorization));
-  w.key("n").value(o.n);
-  w.key("b").value(o.b);
-  w.key("strategy").value(core::to_string(o.strategy));
-  w.key("reclamation_ratio").value(o.reclamation_ratio);
-  w.key("fc_desired").value(o.fc_desired);
-  w.key("mode").value(core::to_string(o.mode));
-  w.key("seed").value_u64(o.seed);
-  w.key("error_rate_multiplier").value(o.error_rate_multiplier);
-  w.key("noise_enabled").value(o.noise_enabled);
-  w.key("elem_bytes").value(o.elem_bytes);
-  w.key("recover_uncorrectable").value(o.recover_uncorrectable);
+  w.key("factorization").value(predict::to_string(c.factorization));
+  w.key("n").value(c.n);
+  w.key("b").value(c.b);
+  w.key("strategy").value(core::strategy_kind_name(c));
+  w.key("reclamation_ratio").value(c.reclamation_ratio);
+  w.key("fc_desired").value(c.fc_desired);
+  w.key("mode").value(core::to_string(c.mode));
+  w.key("seed").value_u64(c.seed);
+  w.key("error_rate_multiplier").value(c.error_rate_multiplier);
+  w.key("noise_enabled").value(c.noise_enabled);
+  w.key("elem_bytes").value(c.elem_bytes);
+  w.key("recover_uncorrectable").value(c.recover_uncorrectable);
   w.key("variability");
-  write_var(w, o.variability);
+  write_var(w, c.variability);
   w.key("faults");
-  write_faults(w, o.faults);
+  write_faults(w, c.faults);
   w.obj_close();
 }
 
-core::RunOptions read_options(const JsonValue& v) {
-  core::RunOptions o;
-  o.factorization =
+RunConfig read_options(const JsonValue& v) {
+  RunConfig c;
+  c.factorization =
       core::factorization_from_string(v.at("factorization").as_string());
-  o.n = v.at("n").to_int64();
-  o.b = v.at("b").to_int64();
-  o.strategy = strategy_kind_from(v.at("strategy").as_string());
-  o.reclamation_ratio = v.at("reclamation_ratio").to_double();
-  o.fc_desired = v.at("fc_desired").to_double();
-  o.mode = mode_from(v.at("mode").as_string());
-  o.seed = v.at("seed").to_uint64();
-  o.error_rate_multiplier = v.at("error_rate_multiplier").to_double();
-  o.noise_enabled = v.at("noise_enabled").as_bool();
-  o.elem_bytes = as_int(v.at("elem_bytes"));
-  o.recover_uncorrectable = v.at("recover_uncorrectable").as_bool();
-  o.variability = read_var(v.at("variability"));
-  o.faults = read_faults(v.at("faults"));
-  return o;
+  c.n = v.at("n").to_int64();
+  c.b = v.at("b").to_int64();
+  c.strategy = strategy_key_from(v.at("strategy").as_string());
+  c.reclamation_ratio = v.at("reclamation_ratio").to_double();
+  c.fc_desired = v.at("fc_desired").to_double();
+  c.mode = mode_from(v.at("mode").as_string());
+  c.seed = v.at("seed").to_uint64();
+  c.error_rate_multiplier = v.at("error_rate_multiplier").to_double();
+  c.noise_enabled = v.at("noise_enabled").as_bool();
+  c.elem_bytes = as_int(v.at("elem_bytes"));
+  c.recover_uncorrectable = v.at("recover_uncorrectable").as_bool();
+  c.variability = read_var(v.at("variability"));
+  c.faults = read_faults(v.at("faults"));
+  return c;
 }
 
 // ---- sched::IterationOutcome / RunTrace -------------------------------------
@@ -414,7 +430,7 @@ std::string serialize_report(const core::RunReport& report) {
   JsonWriter w;
   w.obj_open();
   w.key("options");
-  write_options(w, report.options);
+  write_options(w, report.config);
   w.key("strategy_name").value(report.strategy_name);
   w.key("trace");
   write_trace(w, report.trace);
@@ -437,7 +453,7 @@ std::string serialize_report(const core::RunReport& report) {
 
 core::RunReport deserialize_report(const JsonValue& value) {
   core::RunReport r;
-  r.options = read_options(value.at("options"));
+  r.config = read_options(value.at("options"));
   r.strategy_name = value.at("strategy_name").as_string();
   r.trace = read_trace(value.at("trace"));
   r.abft = read_abft(value.at("abft"));
@@ -487,6 +503,10 @@ std::string serialize_config(const RunConfig& c) {
   write_faults(w, c.faults);
   w.key("devices").value(c.devices);
   w.key("cluster").value(c.cluster);
+  w.key("grid_p").value(c.grid_p);
+  w.key("grid_q").value(c.grid_q);
+  w.key("collective").value(c.collective);
+  w.key("rebalance").value(c.rebalance);
   w.obj_close();
   return w.take();
 }
@@ -536,6 +556,14 @@ RunConfig config_from_json(const JsonValue& value) {
       c.devices = as_int(v);
     } else if (key == "cluster") {
       c.cluster = v.as_string();
+    } else if (key == "grid_p") {
+      c.grid_p = as_int(v);
+    } else if (key == "grid_q") {
+      c.grid_q = as_int(v);
+    } else if (key == "collective") {
+      c.collective = v.as_string();
+    } else if (key == "rebalance") {
+      c.rebalance = v.as_bool();
     } else {
       fail("unknown config field \"" + key + "\"");
     }

@@ -3,7 +3,9 @@
 // JSON records, and the wire protocol carries configs in and reports out.
 //
 // The contract the store and the daemon build on: serialize_report() is
-// deterministic, and deserialize_report() restores every field exactly, so
+// deterministic, and deserialize_report() restores every field it wrote
+// exactly (a report's config is echoed as the paper's per-run knobs only;
+// see RunReport::config), so
 //
 //   serialize_report(deserialize_report(s)) == s
 //
@@ -23,8 +25,8 @@
 
 namespace bsr::serve {
 
-/// Deterministic compact JSON for one report (every field, including the
-/// full iteration trace, device_usage, and lane_faults).
+/// Deterministic compact JSON for one report (the config echo, the full
+/// iteration trace, device_usage, lane_faults, and every other field).
 std::string serialize_report(const core::RunReport& report);
 
 /// Rebuilds a report from serialize_report() output. Throws

@@ -22,24 +22,22 @@ TEST(Registry, BuiltInStrategiesRoundTrip) {
   for (const char* name : {"original", "r2h", "sr", "bsr"}) {
     const std::string key = name;
     ASSERT_TRUE(strategies().contains(key)) << key;
-    // Every built-in carries a legacy StrategyKind whose printed name lowers
-    // back to the canonical registry key.
+    // Every built-in carries a StrategyKind whose printed name (the
+    // spelling reports echo) lowers back to the canonical registry key.
     const StrategyEntry& entry = strategies().get(key);
     ASSERT_TRUE(entry.kind.has_value()) << key;
     std::string printed = core::to_string(*entry.kind);
     std::transform(printed.begin(), printed.end(), printed.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     EXPECT_EQ(printed, key);
-    // And the legacy parser is a thin wrapper over the same entry.
-    EXPECT_EQ(core::strategy_from_string(key), *entry.kind);
     // The factory builds a real strategy object.
     RunConfig cfg;
     cfg.strategy = key;
     EXPECT_NE(entry.make(cfg, cfg.workload()), nullptr);
   }
   // Case-insensitivity and aliases keep working through the registry.
-  EXPECT_EQ(core::strategy_from_string("BSR"), StrategyKind::BSR);
-  EXPECT_EQ(core::strategy_from_string("org"), StrategyKind::Original);
+  EXPECT_EQ(strategies().get("BSR").kind, StrategyKind::BSR);
+  EXPECT_EQ(strategies().get("org").kind, StrategyKind::Original);
 }
 
 TEST(Registry, BuiltInPlatformsRoundTrip) {
@@ -54,12 +52,10 @@ TEST(Registry, BuiltInPlatformsRoundTrip) {
 }
 
 TEST(Registry, BuiltInAbftPoliciesRoundTrip) {
-  EXPECT_EQ(core::abft_policy_from_string("adaptive"),
-            core::AbftPolicy::Adaptive);
-  EXPECT_EQ(core::abft_policy_from_string("none"), core::AbftPolicy::ForceNone);
-  EXPECT_EQ(core::abft_policy_from_string("force_single"),
-            core::AbftPolicy::ForceSingle);
-  EXPECT_EQ(core::abft_policy_from_string("Full"), core::AbftPolicy::ForceFull);
+  EXPECT_EQ(abft_policies().get("adaptive"), core::AbftPolicy::Adaptive);
+  EXPECT_EQ(abft_policies().get("none"), core::AbftPolicy::ForceNone);
+  EXPECT_EQ(abft_policies().get("force_single"), core::AbftPolicy::ForceSingle);
+  EXPECT_EQ(abft_policies().get("Full"), core::AbftPolicy::ForceFull);
 }
 
 TEST(Registry, DuplicateRegistrationRejected) {
@@ -119,10 +115,11 @@ TEST(Registry, RuntimeRegisteredStrategyRunsEverywhere) {
   EXPECT_NE(core::summarize(twin).find("registry_test_original_twin"),
             std::string::npos);
 
-  // The legacy enum surface refuses registry-only strategies with a pointer
-  // to the new API instead of misbehaving.
-  EXPECT_THROW(core::strategy_from_string("registry_test_original_twin"),
-               std::invalid_argument);
+  // Registry-only strategies carry no StrategyKind, so the report's
+  // "options" echo reads BSR for them and strategy_name is authoritative.
+  EXPECT_FALSE(
+      strategies().get("registry_test_original_twin").kind.has_value());
+  EXPECT_STREQ(core::strategy_kind_name(twin.config), "BSR");
 
   // And the Sweep engine treats it like any built-in.
   const SweepResult grid =

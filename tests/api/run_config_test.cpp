@@ -1,5 +1,4 @@
-// RunConfig: validation, legacy lowering, fingerprint semantics, and
-// equivalence of the new facade with the deprecated RunOptions path.
+// RunConfig: defaults, validation, and fingerprint semantics.
 #include "bsr/run_config.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 
 #include "bsr/registry.hpp"
 #include "core/decomposer.hpp"
+#include "core/options.hpp"
 
 namespace bsr {
 namespace {
@@ -31,6 +31,24 @@ TEST(RunConfig, BlockAutoTuneClampsToN) {
   EXPECT_NO_THROW(cfg.validate());
   cfg.b = 32;
   EXPECT_EQ(cfg.block(), 32);
+}
+
+TEST(RunConfig, WorkloadReflectsFields) {
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.b = 256;
+  cfg.factorization = Factorization::QR;
+  cfg.elem_bytes = 4;
+  const predict::WorkloadModel wl = cfg.workload();
+  EXPECT_EQ(wl.n, 4096);
+  EXPECT_EQ(wl.b, 256);
+  EXPECT_EQ(wl.fact, Factorization::QR);
+  EXPECT_EQ(wl.elem_bytes, 4);
+  EXPECT_EQ(wl.num_iterations(), 16);
+  // b = 0 runs the tuned block, as every engine does.
+  cfg.b = 0;
+  EXPECT_EQ(cfg.workload().b, core::tuned_block(4096));
+  EXPECT_EQ(cfg.workload().b, cfg.block());
 }
 
 TEST(RunConfig, ValidateRejectsOutOfRangeFields) {
@@ -56,6 +74,13 @@ TEST(RunConfig, ValidateRejectsOutOfRangeFields) {
   expect_invalid([](RunConfig& c) { c.strategy = "warp"; });
   expect_invalid([](RunConfig& c) { c.abft_policy = "sometimes"; });
   expect_invalid([](RunConfig& c) { c.platform = "laptop"; });
+  // 3 x 1431655768 is 8 modulo 2^32: the grid check must not multiply in int.
+  expect_invalid([](RunConfig& c) {
+    c.devices = 8;
+    c.cluster = "rack_8x8";
+    c.grid_p = 3;
+    c.grid_q = 1431655768;
+  });
 }
 
 TEST(RunConfig, ValidateMessageNamesTheField) {
@@ -69,49 +94,6 @@ TEST(RunConfig, ValidateMessageNamesTheField) {
     EXPECT_NE(what.find("RunConfig"), std::string::npos) << what;
     EXPECT_NE(what.find("reclamation_ratio"), std::string::npos) << what;
   }
-}
-
-TEST(RunConfig, LegacyLoweringRoundTrips) {
-  RunConfig cfg;
-  cfg.factorization = Factorization::QR;
-  cfg.n = 8192;
-  cfg.b = 256;
-  cfg.strategy = "sr";
-  cfg.abft_policy = "single";
-  cfg.seed = 7;
-  cfg.noise_enabled = false;
-  cfg.bsr_allow_overclocking = false;
-
-  const core::RunOptions opts = cfg.options();
-  EXPECT_EQ(opts.strategy, StrategyKind::SR);
-  EXPECT_EQ(opts.n, 8192);
-  EXPECT_EQ(opts.b, 256);
-  EXPECT_EQ(opts.seed, 7u);
-  EXPECT_FALSE(opts.noise_enabled);
-  const core::ExtendedOptions ext = cfg.extended();
-  EXPECT_EQ(ext.abft_policy, AbftPolicy::ForceSingle);
-  EXPECT_FALSE(ext.bsr_allow_overclocking);
-
-  const RunConfig back = from_legacy(opts, ext);
-  EXPECT_EQ(back.strategy, "sr");
-  EXPECT_EQ(back.abft_policy, "single");
-  EXPECT_EQ(back.fingerprint(), cfg.fingerprint());
-}
-
-TEST(RunConfig, NewAndLegacyPathsProduceIdenticalReports) {
-  RunConfig cfg;
-  cfg.n = 4096;
-  cfg.strategy = "bsr";
-  cfg.reclamation_ratio = 0.25;
-
-  const core::Decomposer dec;
-  const core::RunReport via_config = dec.run(cfg);
-  const core::RunReport via_legacy = dec.run(cfg.options(), cfg.extended());
-  EXPECT_DOUBLE_EQ(via_config.total_energy_j(), via_legacy.total_energy_j());
-  EXPECT_DOUBLE_EQ(via_config.seconds(), via_legacy.seconds());
-  EXPECT_DOUBLE_EQ(via_config.ed2p(), via_legacy.ed2p());
-  ASSERT_EQ(via_config.trace.iterations.size(),
-            via_legacy.trace.iterations.size());
 }
 
 TEST(RunConfig, FingerprintDistinguishesResultRelevantFields) {

@@ -6,6 +6,7 @@
 #include "bsr/bsr.hpp"
 #include "cluster/engine.hpp"
 #include "energy/baselines.hpp"
+#include "obs/trace.hpp"
 
 namespace bsr {
 namespace {
@@ -18,6 +19,22 @@ cluster::ClusterOptions options(cluster::ClusterStrategy s) {
   cluster::ClusterOptions o;
   o.strategy = s;
   return o;
+}
+
+TEST(ClusterEngine, RejectsAGridWhoseIntProductWrapsToTheDeviceCount) {
+  // 3 x 1431655768 is 8 modulo 2^32; run as a grid, owner(2) would be device
+  // 8 of 0..7.
+  const cluster::ClusterProfile profile =
+      cluster::ClusterProfile::paper_scaleout(8);
+  cluster::ClusterOptions o = options(cluster::ClusterStrategy::BSR);
+  o.grid_p = 3;
+  o.grid_q = 1431655768;
+  EXPECT_THROW((void)cluster::run_cluster(profile, workload(4096, 256), o),
+               std::invalid_argument);
+  o.grid_p = 2;
+  o.grid_q = 4;
+  EXPECT_NO_THROW(
+      (void)cluster::run_cluster(profile, workload(4096, 256), o));
 }
 
 TEST(ClusterEngine, RunsAllStrategiesWithConsistentAccounting) {
@@ -238,6 +255,36 @@ TEST(ClusterFacade, RunConfigDispatchesToClusterEngine) {
   // Single-node runs carry no per-device breakdown.
   cfg.devices = 0;
   EXPECT_TRUE(run(cfg).device_usage.empty());
+}
+
+TEST(ClusterFacade, ReportCarriesTheConfigAsRun) {
+  obs::TraceRecorder recorder;
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.b = 0;  // auto-tuned
+  cfg.strategy = "SR";
+  cfg.devices = 8;
+  cfg.cluster = "rack_8x8";
+  cfg.grid_p = 2;
+  cfg.grid_q = 4;
+  cfg.collective = "ring";
+  cfg.trace = &recorder;
+  const core::RunReport r = run(cfg);
+  ASSERT_FALSE(recorder.empty());
+  EXPECT_EQ(r.config.b, cfg.block());
+  EXPECT_EQ(r.config.trace, nullptr);
+  RunConfig resolved = cfg;
+  resolved.b = cfg.block();
+  EXPECT_EQ(r.config.fingerprint(), resolved.fingerprint());
+  EXPECT_EQ(r.config.devices, 8);
+  EXPECT_EQ(r.config.grid_p, 2);
+  EXPECT_EQ(r.config.collective, "ring");
+  // Cluster runs name their strategy by its canonical key; the echoed kind
+  // keeps the legacy spelling.
+  EXPECT_EQ(r.strategy_name, "sr");
+  EXPECT_STREQ(core::strategy_kind_name(r.config), "SR");
+  EXPECT_EQ(core::summarize(r).rfind("sr LU n=4096 b=", 0), 0u)
+      << core::summarize(r);
 }
 
 TEST(ClusterFacade, ClusterConfigMatchesLoweredRunConfig) {

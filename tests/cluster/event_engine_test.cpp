@@ -7,72 +7,34 @@
 namespace bsr::cluster {
 namespace {
 
-TEST(EventEngine, FiresInTimeOrder) {
-  EventEngine e;
-  std::vector<int> order;
-  e.schedule_at(SimTime(30), [&] { order.push_back(3); });
-  e.schedule_at(SimTime(10), [&] { order.push_back(1); });
-  e.schedule_at(SimTime(20), [&] { order.push_back(2); });
-  const SimTime end = e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(end, SimTime(30));
-  EXPECT_EQ(e.processed(), 3u);
-}
-
-TEST(EventEngine, EqualTimesFireInScheduleOrder) {
-  EventEngine e;
-  std::vector<int> order;
-  for (int i = 0; i < 16; ++i) {
-    e.schedule_at(SimTime(5), [&order, i] { order.push_back(i); });
-  }
-  e.run();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(EventEngine, HandlersMayScheduleFurtherEvents) {
-  EventEngine e;
-  std::vector<int> order;
-  e.schedule_at(SimTime(10), [&] {
-    order.push_back(1);
-    e.schedule_after(SimTime(5), [&] { order.push_back(2); });
-  });
-  const SimTime end = e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(end, SimTime(15));
-}
-
 TEST(EventEngine, PastSchedulingClampsToNow) {
-  EventEngine e;
+  BasicEventEngine<int> e;
   std::vector<int> order;
-  e.schedule_at(SimTime(10), [&] {
-    order.push_back(1);
+  e.schedule_at(SimTime(10), 1);
+  e.schedule_at(SimTime(10), 2);
+  const SimTime end = e.run([&](int v) {
+    order.push_back(v);
     // "In the past": fires immediately after already queued time-10 events.
-    e.schedule_at(SimTime(3), [&] { order.push_back(3); });
+    if (v == 1) e.schedule_at(SimTime(3), 3);
   });
-  e.schedule_at(SimTime(10), [&] { order.push_back(2); });
-  const SimTime end = e.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(end, SimTime(10));  // clock never runs backwards
 }
 
 TEST(EventEngine, NowAdvancesMonotonically) {
-  EventEngine e;
+  BasicEventEngine<int> e;
+  for (int i = 0; i < 50; ++i) e.schedule_at(SimTime(i % 7), i);
   SimTime last = SimTime::zero();
-  for (int i = 0; i < 50; ++i) {
-    e.schedule_at(SimTime(i % 7), [&, i] {
-      EXPECT_GE(e.now(), last);
-      last = e.now();
-      (void)i;
-    });
-  }
-  e.run();
+  e.run([&](int) {
+    EXPECT_GE(e.now(), last);
+    last = e.now();
+  });
 }
 
 // The flat-payload engine the cluster simulator runs on: events are POD
 // records in preallocated storage, dispatched by a functor, and the (time,
-// sequence) tie-break contract must hold exactly as it does for the
-// std::function engine — the sweep's bitwise thread-count invariance rests
-// on it.
+// sequence) tie-break contract must hold exactly — the sweep's bitwise
+// thread-count invariance rests on it.
 TEST(BasicEventEngine, PodPayloadEqualTimesFireInScheduleOrder) {
   BasicEventEngine<int> e;
   e.reserve(64);

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace bsr {
@@ -20,55 +21,6 @@ struct Argv {
   std::vector<std::string> storage;
   std::vector<char*> argv;
 };
-
-/// Legacy constructor-parsing mode (deprecated but kept for one release).
-Cli make_cli(std::vector<std::string> args) {
-  Argv a(std::move(args));
-  return Cli(a.argc(), a.data());
-}
-
-TEST(Cli, ParsesKeyValue) {
-  const Cli cli = make_cli({"--n=4096", "--fact=lu"});
-  EXPECT_EQ(cli.get_int("n", 0), 4096);
-  EXPECT_EQ(cli.get("fact", ""), "lu");
-}
-
-TEST(Cli, BareFlagIsTrue) {
-  const Cli cli = make_cli({"--verbose"});
-  EXPECT_TRUE(cli.get_bool("verbose", false));
-  EXPECT_TRUE(cli.has("verbose"));
-}
-
-TEST(Cli, DefaultsWhenMissing) {
-  const Cli cli = make_cli({});
-  EXPECT_EQ(cli.get_int("n", 42), 42);
-  EXPECT_DOUBLE_EQ(cli.get_double("r", 0.25), 0.25);
-  EXPECT_FALSE(cli.has("n"));
-}
-
-TEST(Cli, ParsesDouble) {
-  const Cli cli = make_cli({"--r=0.15"});
-  EXPECT_DOUBLE_EQ(cli.get_double("r", 0.0), 0.15);
-}
-
-TEST(Cli, BoolVariants) {
-  const Cli cli = make_cli({"--a=true", "--b=0", "--c=yes"});
-  EXPECT_TRUE(cli.get_bool("a", false));
-  EXPECT_FALSE(cli.get_bool("b", true));
-  EXPECT_TRUE(cli.get_bool("c", false));
-}
-
-TEST(Cli, RejectsPositional) {
-  EXPECT_THROW(make_cli({"positional"}), std::invalid_argument);
-}
-
-TEST(Cli, IgnoresBenchmarkFlags) {
-  const Cli cli = make_cli({"--benchmark_filter=.*", "--n=8"});
-  EXPECT_EQ(cli.get_int("n", 0), 8);
-  EXPECT_FALSE(cli.has("benchmark_filter"));
-}
-
-// ---- registration mode (ISSUE 2 satellite: --help + loud unknown flags) ----
 
 Cli registered_cli() {
   Cli cli;
@@ -87,6 +39,120 @@ TEST(Cli, RegisteredDefaultsAndOverrides) {
   EXPECT_EQ(cli.get("fact"), "qr");           // overridden, space form
   EXPECT_TRUE(cli.get_bool("verbose"));       // bare switch
   EXPECT_DOUBLE_EQ(cli.get_double("r"), 0.25);  // registered default
+}
+
+TEST(Cli, ParsesKeyValue) {
+  Cli cli = registered_cli();
+  cli.arg_string("trace", "", "trace output path");
+  Argv argv({"--n=4096", "--fact=lu", "--trace=run=1.json"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_EQ(cli.get_int("n"), 4096);
+  EXPECT_EQ(cli.get("n"), "4096");  // the string getter sees the raw token
+  EXPECT_EQ(cli.get("fact"), "lu");
+  // Only the first '=' separates name from value.
+  EXPECT_EQ(cli.get("trace"), "run=1.json");
+}
+
+TEST(Cli, BareFlagIsTrue) {
+  Cli cli = registered_cli();
+  Argv argv({"--verbose", "--n=8"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_TRUE(cli.get_bool("verbose"));
+  EXPECT_TRUE(cli.get_bool("verbose", false));
+  EXPECT_EQ(cli.get("verbose"), "1");
+  EXPECT_TRUE(cli.has("verbose"));
+  EXPECT_EQ(cli.get_int("n"), 8);
+  // A switch never consumes the next bare token: it is a positional.
+  Cli greedy = registered_cli();
+  Argv trailing({"--verbose", "true"});
+  EXPECT_THROW((void)greedy.parse(trailing.argc(), trailing.data()),
+               std::invalid_argument);
+}
+
+TEST(Cli, DefaultsWhenMissing) {
+  // Benches and the trace/version helpers read registered flags through the
+  // (name, default) getters: an absent flag yields the explicit default, not
+  // the registered one, and a given flag yields its value.
+  Cli cli = registered_cli();
+  cli.arg_string("faults", "poisson", "fault preset");
+  Argv argv({"--r=0.15", "--fact=cholesky"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_EQ(cli.get_int("n", 42), 42);
+  EXPECT_EQ(cli.get("faults", ""), "");
+  EXPECT_FALSE(cli.get_bool("verbose", false));
+  EXPECT_TRUE(cli.get_bool("verbose", true));
+  EXPECT_FALSE(cli.has("n"));
+  EXPECT_DOUBLE_EQ(cli.get_double("r", 0.0), 0.15);
+  EXPECT_EQ(cli.get("fact", ""), "cholesky");
+  EXPECT_TRUE(cli.has("r"));
+}
+
+TEST(Cli, ParsesDouble) {
+  Cli cli;
+  cli.arg_double("r", 0.0, "ratio")
+      .arg_double("fc", 0.0, "coverage")
+      .arg_double("drift", 0.0, "drift")
+      .arg_double("scale", 0.0, "scale");
+  Argv argv({"--r=0.15", "--fc", "0.9999995", "--drift=1e-3", "--scale=2"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_DOUBLE_EQ(cli.get_double("r"), 0.15);
+  EXPECT_DOUBLE_EQ(cli.get_double("fc"), 0.9999995);
+  EXPECT_DOUBLE_EQ(cli.get_double("drift"), 0.001);  // exponent form
+  EXPECT_DOUBLE_EQ(cli.get_double("scale"), 2.0);    // integer spelling
+  EXPECT_DOUBLE_EQ(cli.get_double("r", 0.0), 0.15);
+}
+
+TEST(Cli, BoolVariants) {
+  Cli cli;
+  cli.arg_flag("a", "").arg_flag("b", "").arg_flag("c", "").arg_flag("d", "");
+  cli.arg_flag("e", "").arg_flag("f", "");
+  Argv argv({"--a=true", "--b=0", "--c=yes", "--d", "--e=no", "--f=1"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_TRUE(cli.get_bool("a"));
+  EXPECT_FALSE(cli.get_bool("b"));
+  EXPECT_TRUE(cli.get_bool("c"));
+  EXPECT_TRUE(cli.get_bool("d"));  // bare switch
+  EXPECT_TRUE(cli.has("d"));
+  EXPECT_FALSE(cli.get_bool("e"));
+  EXPECT_TRUE(cli.get_bool("f"));
+  // The explicit-default getters read the same spellings.
+  EXPECT_TRUE(cli.get_bool("a", false));
+  EXPECT_FALSE(cli.get_bool("b", true));
+  EXPECT_TRUE(cli.get_bool("c", false));
+  EXPECT_FALSE(cli.get_bool("e", true));
+}
+
+TEST(Cli, RejectsPositional) {
+  // Anywhere on the line, and a single-dash flag is a positional too (only
+  // -h is special); the message names the token and points at --help.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--n=8", "lu"}, {"--n", "8", "extra", "--verbose"}, {"-n"}}) {
+    Cli cli = registered_cli();
+    Argv argv(args);
+    try {
+      (void)cli.parse(argv.argc(), argv.data());
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("positional"), std::string::npos) << what;
+      EXPECT_NE(what.find("--help"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Cli, IgnoresBenchmarkFlags) {
+  // Google Benchmark's own switches (bare and =value) may sit anywhere on a
+  // bench's command line; they are skipped, never stored, and do not disturb
+  // a space-separated value that follows them.
+  Cli cli = registered_cli();
+  Argv argv({"--benchmark_list_tests", "--n", "8",
+             "--benchmark_min_time=0.01s", "--fact=qr"});
+  ASSERT_TRUE(cli.parse(argv.argc(), argv.data()));
+  EXPECT_EQ(cli.get_int("n"), 8);
+  EXPECT_EQ(cli.get("fact"), "qr");
+  EXPECT_FALSE(cli.has("benchmark_list_tests"));
+  EXPECT_FALSE(cli.has("benchmark_min_time"));
 }
 
 TEST(Cli, UnknownFlagFailsLoudlyListingKnownFlags) {

@@ -1,32 +1,39 @@
 #include <gtest/gtest.h>
 
+#include "common/ascii.hpp"
 #include "core/decomposer.hpp"
 
 namespace bsr::core {
 namespace {
 
-RunOptions numeric_opts(predict::Factorization f, StrategyKind s,
-                        std::int64_t n = 256, std::int64_t b = 32) {
-  RunOptions o;
-  o.factorization = f;
-  o.n = n;
-  o.b = b;
-  o.strategy = s;
-  o.mode = ExecutionMode::Numeric;
-  o.seed = 5;
-  return o;
+RunConfig numeric_cfg(predict::Factorization f, const std::string& strategy,
+                      std::int64_t n = 256, std::int64_t b = 32) {
+  RunConfig cfg;
+  cfg.factorization = f;
+  cfg.n = n;
+  cfg.b = b;
+  cfg.strategy = strategy;
+  cfg.mode = ExecutionMode::Numeric;
+  cfg.seed = 5;
+  return cfg;
 }
 
 /// Fault-injection experiments run on the numeric_demo platform (paper-scale
 /// op durations at reduced n, see PlatformProfile::numeric_demo) with a BSR
 /// reclamation ratio that overclocks the late iterations into SDC territory.
-RunOptions injection_opts(predict::Factorization f, std::int64_t n = 1024,
-                          std::int64_t b = 32) {
-  RunOptions o = numeric_opts(f, StrategyKind::BSR, n, b);
-  o.reclamation_ratio = 0.25;
-  o.fc_desired = 0.999;
-  o.error_rate_multiplier = 100.0;
-  return o;
+RunConfig injection_cfg(predict::Factorization f, std::int64_t n = 1024,
+                        std::int64_t b = 32) {
+  RunConfig cfg = numeric_cfg(f, "bsr", n, b);
+  cfg.reclamation_ratio = 0.25;
+  cfg.fc_desired = 0.999;
+  cfg.error_rate_multiplier = 100.0;
+  return cfg;
+}
+
+/// `cfg` under the bsr::abft_policies() key `policy`.
+RunConfig with_abft(RunConfig cfg, const char* policy) {
+  cfg.abft_policy = policy;
+  return cfg;
 }
 
 class NumericCleanRuns
@@ -36,9 +43,10 @@ class NumericCleanRuns
 TEST_P(NumericCleanRuns, ResidualTinyWithoutOverclock) {
   const auto [fact, strat] = GetParam();
   const Decomposer dec;
-  RunOptions o = numeric_opts(fact, strat);
-  o.reclamation_ratio = 0.0;  // no overclocking, no SDCs
-  const RunReport r = dec.run(o);
+  // A built-in kind's printed name lowercases to its registry key.
+  RunConfig cfg = numeric_cfg(fact, ascii_lower(to_string(strat)));
+  cfg.reclamation_ratio = 0.0;  // no overclocking, no SDCs
+  const RunReport r = dec.run(cfg);
   EXPECT_TRUE(r.numeric_executed);
   EXPECT_LT(r.residual, 1e-10);
   EXPECT_TRUE(r.numeric_correct);
@@ -57,8 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Numeric, InjectionWithoutFtCorruptsResult) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  const RunOptions o = injection_opts(predict::Factorization::LU);
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
+  const RunConfig cfg = injection_cfg(predict::Factorization::LU);
+  const RunReport r = dec.run(with_abft(cfg, "none"));
   EXPECT_GT(r.abft.errors_injected_total(), 0);
   EXPECT_FALSE(r.numeric_correct);
   EXPECT_GT(r.residual, 1e-3);
@@ -66,8 +74,8 @@ TEST(Numeric, InjectionWithoutFtCorruptsResult) {
 
 TEST(Numeric, FullAbftRepairsInjectedErrors) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  const RunOptions o = injection_opts(predict::Factorization::LU);
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  const RunConfig cfg = injection_cfg(predict::Factorization::LU);
+  const RunReport r = dec.run(with_abft(cfg, "full"));
   EXPECT_GT(r.abft.errors_injected_total(), 0);
   EXPECT_GT(r.abft.corrected_0d + r.abft.corrected_1d, 0);
   EXPECT_TRUE(r.numeric_correct) << "residual=" << r.residual;
@@ -75,8 +83,8 @@ TEST(Numeric, FullAbftRepairsInjectedErrors) {
 
 TEST(Numeric, AdaptiveAbftAlsoRepairs) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  const RunOptions o = injection_opts(predict::Factorization::LU);
-  const RunReport r = dec.run(o);
+  const RunConfig cfg = injection_cfg(predict::Factorization::LU);
+  const RunReport r = dec.run(cfg);
   EXPECT_GT(r.abft.errors_injected_total(), 0);
   EXPECT_TRUE(r.numeric_correct) << "residual=" << r.residual;
   // The staircase: most iterations unprotected, the overclocked tail covered.
@@ -87,8 +95,8 @@ TEST(Numeric, AdaptiveAbftAlsoRepairs) {
 
 TEST(Numeric, AdaptiveOverclocksIntoSdcTerritory) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  const RunOptions o = injection_opts(predict::Factorization::LU);
-  const RunReport r = dec.run(o);
+  const RunConfig cfg = injection_cfg(predict::Factorization::LU);
+  const RunReport r = dec.run(cfg);
   const hw::Mhz ff = dec.platform().gpu.fault_free_max();
   int overclocked = 0;
   for (const auto& it : r.trace.iterations) {
@@ -99,24 +107,24 @@ TEST(Numeric, AdaptiveOverclocksIntoSdcTerritory) {
 
 TEST(Numeric, CholeskyWithInjectionAndFullAbft) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = injection_opts(predict::Factorization::Cholesky, 512, 32);
-  o.error_rate_multiplier = 300.0;
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  RunConfig cfg = injection_cfg(predict::Factorization::Cholesky, 512, 32);
+  cfg.error_rate_multiplier = 300.0;
+  const RunReport r = dec.run(with_abft(cfg, "full"));
   EXPECT_TRUE(r.numeric_correct) << "residual=" << r.residual;
 }
 
 TEST(Numeric, QrWithInjectionAndFullAbft) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = injection_opts(predict::Factorization::QR, 512, 32);
-  o.error_rate_multiplier = 300.0;
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  RunConfig cfg = injection_cfg(predict::Factorization::QR, 512, 32);
+  cfg.error_rate_multiplier = 300.0;
+  const RunReport r = dec.run(with_abft(cfg, "full"));
   EXPECT_TRUE(r.numeric_correct) << "residual=" << r.residual;
 }
 
 TEST(Numeric, StatsCountProtectedIterations) {
   const Decomposer dec;
-  RunOptions o = numeric_opts(predict::Factorization::LU, StrategyKind::BSR);
-  const RunReport forced = dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+  const RunConfig cfg = numeric_cfg(predict::Factorization::LU, "bsr");
+  const RunReport forced = dec.run(with_abft(cfg, "single"));
   EXPECT_EQ(forced.abft.iterations_protected_single,
             static_cast<int>(forced.trace.iterations.size()));
   EXPECT_EQ(forced.abft.iterations_protected_full, 0);
@@ -124,9 +132,9 @@ TEST(Numeric, StatsCountProtectedIterations) {
 
 TEST(Numeric, DeterministicInjectionPerSeed) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  const RunOptions o = injection_opts(predict::Factorization::LU);
-  const RunReport a = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
-  const RunReport b = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
+  const RunConfig cfg = injection_cfg(predict::Factorization::LU);
+  const RunReport a = dec.run(with_abft(cfg, "none"));
+  const RunReport b = dec.run(with_abft(cfg, "none"));
   EXPECT_EQ(a.abft.errors_injected_total(), b.abft.errors_injected_total());
   EXPECT_DOUBLE_EQ(a.residual, b.residual);
 }

@@ -8,16 +8,16 @@
 namespace bsr::core {
 namespace {
 
-RunOptions float_opts(predict::Factorization f) {
-  RunOptions o;
-  o.factorization = f;
-  o.n = 256;
-  o.b = 32;
-  o.elem_bytes = 4;
-  o.mode = ExecutionMode::Numeric;
-  o.strategy = StrategyKind::Original;
-  o.seed = 9;
-  return o;
+RunConfig float_cfg(predict::Factorization f) {
+  RunConfig cfg;
+  cfg.factorization = f;
+  cfg.n = 256;
+  cfg.b = 32;
+  cfg.elem_bytes = 4;
+  cfg.mode = ExecutionMode::Numeric;
+  cfg.strategy = "original";
+  cfg.seed = 9;
+  return cfg;
 }
 
 class FloatCleanRuns
@@ -25,7 +25,7 @@ class FloatCleanRuns
 
 TEST_P(FloatCleanRuns, ResidualAtSinglePrecisionScale) {
   const Decomposer dec;
-  const RunReport r = dec.run(float_opts(GetParam()));
+  const RunReport r = dec.run(float_cfg(GetParam()));
   EXPECT_TRUE(r.numeric_executed);
   EXPECT_TRUE(r.numeric_correct);
   EXPECT_LT(r.residual, 1e-3);   // float roundoff scale
@@ -41,30 +41,32 @@ TEST(FloatNumeric, TransferBytesHalveVsDouble) {
   // elem_bytes feeds the workload model: single precision halves the panel
   // traffic, which (slightly) widens CPU-side slack as in paper Fig. 2.
   const Decomposer dec;
-  RunOptions o = float_opts(predict::Factorization::LU);
-  o.mode = ExecutionMode::TimingOnly;
-  o.n = 30720;
-  o.b = 512;
-  const RunReport sp = dec.run(o);
-  o.elem_bytes = 8;
-  const RunReport dp = dec.run(o);
+  RunConfig cfg = float_cfg(predict::Factorization::LU);
+  cfg.mode = ExecutionMode::TimingOnly;
+  cfg.n = 30720;
+  cfg.b = 512;
+  const RunReport sp = dec.run(cfg);
+  cfg.elem_bytes = 8;
+  const RunReport dp = dec.run(cfg);
   EXPECT_LT(sp.trace.iterations[2].transfer, dp.trace.iterations[2].transfer);
   EXPECT_GT(sp.trace.iterations[2].slack, dp.trace.iterations[2].slack);
 }
 
 TEST(FloatNumeric, InjectionAndFullAbftRepairInFloat) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = float_opts(predict::Factorization::LU);
-  o.n = 1024;
-  o.strategy = StrategyKind::BSR;
-  o.reclamation_ratio = 0.25;
-  o.fc_desired = 0.999;
-  o.error_rate_multiplier = 100.0;
-  o.seed = 5;
-  const RunReport none = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
+  RunConfig cfg = float_cfg(predict::Factorization::LU);
+  cfg.n = 1024;
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = 0.25;
+  cfg.fc_desired = 0.999;
+  cfg.error_rate_multiplier = 100.0;
+  cfg.seed = 5;
+  cfg.abft_policy = "none";
+  const RunReport none = dec.run(cfg);
   EXPECT_GT(none.abft.errors_injected_total(), 0);
   EXPECT_FALSE(none.numeric_correct);
-  const RunReport full = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  cfg.abft_policy = "full";
+  const RunReport full = dec.run(cfg);
   EXPECT_TRUE(full.numeric_correct) << "residual=" << full.residual;
 }
 

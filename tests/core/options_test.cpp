@@ -7,38 +7,6 @@
 namespace bsr::core {
 namespace {
 
-TEST(Options, Defaults) {
-  const RunOptions o{};
-  EXPECT_EQ(o.factorization, predict::Factorization::LU);
-  EXPECT_EQ(o.n, 30720);
-  EXPECT_EQ(o.b, 512);
-  EXPECT_EQ(o.strategy, StrategyKind::BSR);
-  EXPECT_EQ(o.mode, ExecutionMode::TimingOnly);
-  EXPECT_DOUBLE_EQ(o.reclamation_ratio, 0.0);
-}
-
-TEST(Options, WorkloadReflectsFields) {
-  RunOptions o;
-  o.n = 4096;
-  o.b = 256;
-  o.factorization = predict::Factorization::QR;
-  const auto wl = o.workload();
-  EXPECT_EQ(wl.n, 4096);
-  EXPECT_EQ(wl.b, 256);
-  EXPECT_EQ(wl.fact, predict::Factorization::QR);
-  EXPECT_EQ(wl.num_iterations(), 16);
-}
-
-TEST(Options, StrategyFromString) {
-  EXPECT_EQ(strategy_from_string("bsr"), StrategyKind::BSR);
-  EXPECT_EQ(strategy_from_string("BSR"), StrategyKind::BSR);
-  EXPECT_EQ(strategy_from_string("original"), StrategyKind::Original);
-  EXPECT_EQ(strategy_from_string("org"), StrategyKind::Original);
-  EXPECT_EQ(strategy_from_string("r2h"), StrategyKind::R2H);
-  EXPECT_EQ(strategy_from_string("sr"), StrategyKind::SR);
-  EXPECT_THROW(strategy_from_string("nope"), std::invalid_argument);
-}
-
 TEST(Options, FactorizationFromString) {
   EXPECT_EQ(factorization_from_string("lu"), predict::Factorization::LU);
   EXPECT_EQ(factorization_from_string("Cholesky"),

@@ -8,28 +8,29 @@
 namespace bsr::core {
 namespace {
 
-RunOptions injected_single(std::uint64_t seed) {
-  RunOptions o;
-  o.factorization = predict::Factorization::LU;
-  o.n = 1024;
-  o.b = 32;
-  o.strategy = StrategyKind::BSR;
-  o.reclamation_ratio = 0.25;
-  o.fc_desired = 0.999;
-  o.mode = ExecutionMode::Numeric;
+/// Single-side ABFT on an injected LU solve.
+RunConfig injected_single(std::uint64_t seed) {
+  RunConfig cfg;
+  cfg.factorization = predict::Factorization::LU;
+  cfg.n = 1024;
+  cfg.b = 32;
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = 0.25;
+  cfg.fc_desired = 0.999;
+  cfg.abft_policy = "single";
+  cfg.mode = ExecutionMode::Numeric;
   // The fig09 regime: BSR still overclocks, and 1D errors (uncorrectable
   // by single-side checksums) appear in a fraction of the seeds.
-  o.error_rate_multiplier = 150.0;
-  o.seed = seed;
-  return o;
+  cfg.error_rate_multiplier = 150.0;
+  cfg.seed = seed;
+  return cfg;
 }
 
 /// Finds a seed where single-side ABFT hits an uncorrectable pattern; the
 /// paper's whole point is that such runs exist at these rates.
 std::uint64_t find_corrupting_seed(const Decomposer& dec) {
   for (std::uint64_t seed = 1; seed < 60; ++seed) {
-    RunOptions o = injected_single(seed);
-    const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+    const RunReport r = dec.run(injected_single(seed));
     if (r.abft.uncorrectable > 0 && !r.numeric_correct) return seed;
   }
   return 0;
@@ -40,16 +41,14 @@ TEST(Recovery, RepairsRunsSingleSideAbftLosesAndChargesTime) {
   const std::uint64_t seed = find_corrupting_seed(dec);
   ASSERT_NE(seed, 0u) << "no corrupting seed found — rates too low?";
 
-  RunOptions o = injected_single(seed);
-  const RunReport no_recovery =
-      dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+  RunConfig cfg = injected_single(seed);
+  const RunReport no_recovery = dec.run(cfg);
   EXPECT_FALSE(no_recovery.numeric_correct);
   EXPECT_EQ(no_recovery.abft.recoveries, 0);
   EXPECT_EQ(no_recovery.recovery_time, SimTime::zero());
 
-  o.recover_uncorrectable = true;
-  const RunReport recovered =
-      dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+  cfg.recover_uncorrectable = true;
+  const RunReport recovered = dec.run(cfg);
   EXPECT_TRUE(recovered.numeric_correct) << "residual=" << recovered.residual;
   EXPECT_GT(recovered.abft.recoveries, 0);
   EXPECT_GT(recovered.recovery_time, SimTime::zero());
@@ -61,10 +60,11 @@ TEST(Recovery, RepairsRunsSingleSideAbftLosesAndChargesTime) {
 
 TEST(Recovery, NoOpWhenNothingUncorrectable) {
   const Decomposer dec(hw::PlatformProfile::numeric_demo());
-  RunOptions o = injected_single(5);
-  o.recover_uncorrectable = true;
+  RunConfig cfg = injected_single(5);
+  cfg.recover_uncorrectable = true;
   // Full ABFT corrects everything: recovery never triggers.
-  const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
+  cfg.abft_policy = "full";
+  const RunReport r = dec.run(cfg);
   EXPECT_TRUE(r.numeric_correct);
   EXPECT_EQ(r.abft.recoveries, 0);
   EXPECT_EQ(r.recovery_time, SimTime::zero());
@@ -75,11 +75,11 @@ TEST(Recovery, WorksForCholeskyAndQr) {
   for (auto f : {predict::Factorization::Cholesky, predict::Factorization::QR}) {
     bool saw_recovery = false;
     for (std::uint64_t seed = 1; seed < 40 && !saw_recovery; ++seed) {
-      RunOptions o = injected_single(seed);
-      o.factorization = f;
-      o.n = 512;
-      o.recover_uncorrectable = true;
-      const RunReport r = dec.run(o, ExtendedOptions{AbftPolicy::ForceSingle});
+      RunConfig cfg = injected_single(seed);
+      cfg.factorization = f;
+      cfg.n = 512;
+      cfg.recover_uncorrectable = true;
+      const RunReport r = dec.run(cfg);
       if (r.abft.recoveries > 0) {
         saw_recovery = true;
         EXPECT_TRUE(r.numeric_correct)

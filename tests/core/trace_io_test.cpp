@@ -13,12 +13,12 @@ namespace {
 
 RunReport small_run() {
   Decomposer dec;
-  RunOptions o;
-  o.n = 4096;
-  o.b = 512;
-  o.strategy = StrategyKind::BSR;
-  o.reclamation_ratio = 0.2;
-  return dec.run(o);
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.b = 512;
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = 0.2;
+  return dec.run(cfg);
 }
 
 TEST(TraceIo, OneRowPerIterationPlusHeader) {

@@ -7,39 +7,39 @@
 namespace bsr::core {
 namespace {
 
-RunOptions opts(double r) {
-  RunOptions o;
-  o.n = 30720;
-  o.b = 512;
-  o.strategy = StrategyKind::BSR;
-  o.reclamation_ratio = r;
-  return o;
+RunConfig bsr_at(double r) {
+  RunConfig cfg;
+  cfg.n = 30720;
+  cfg.b = 512;
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = r;
+  return cfg;
 }
 
 TEST(Ablation, GuardbandIsTheBiggestEnergyLever) {
   const Decomposer dec;
-  const RunReport full = dec.run(opts(0.0));
-  ExtendedOptions no_gb;
+  const RunReport full = dec.run(bsr_at(0.0));
+  RunConfig no_gb = bsr_at(0.0);
   no_gb.bsr_use_optimized_guardband = false;
-  const RunReport without = dec.run(opts(0.0), no_gb);
+  const RunReport without = dec.run(no_gb);
   // Removing the guardband must cost energy, and a lot of it.
   EXPECT_GT(without.total_energy_j(), full.total_energy_j() * 1.05);
 }
 
 TEST(Ablation, OverclockingBuysTheSpeedup) {
   const Decomposer dec;
-  const RunReport full = dec.run(opts(0.25));
-  ExtendedOptions no_oc;
+  const RunReport full = dec.run(bsr_at(0.25));
+  RunConfig no_oc = bsr_at(0.25);
   no_oc.bsr_allow_overclocking = false;
-  const RunReport without = dec.run(opts(0.25), no_oc);
+  const RunReport without = dec.run(no_oc);
   EXPECT_GT(without.seconds(), full.seconds() * 1.05);
 }
 
 TEST(Ablation, NoOverclockingMeansNoAbftEver) {
   const Decomposer dec;
-  ExtendedOptions no_oc;
+  RunConfig no_oc = bsr_at(0.3);
   no_oc.bsr_allow_overclocking = false;
-  const RunReport r = dec.run(opts(0.3), no_oc);
+  const RunReport r = dec.run(no_oc);
   EXPECT_EQ(r.abft.iterations_protected_single, 0);
   EXPECT_EQ(r.abft.iterations_protected_full, 0);
   for (const auto& it : r.trace.iterations) {
@@ -52,35 +52,35 @@ TEST(Ablation, DvfsOnlyVariantLandsNearSr) {
   // Guardband off + overclocking off leaves bi-directional DVFS with a better
   // predictor: energy should land within a few percent of SR.
   const Decomposer dec;
-  RunOptions sr_opts = opts(0.0);
-  sr_opts.strategy = StrategyKind::SR;
-  const RunReport sr = dec.run(sr_opts);
-  ExtendedOptions dvfs_only;
+  RunConfig sr_cfg = bsr_at(0.0);
+  sr_cfg.strategy = "sr";
+  const RunReport sr = dec.run(sr_cfg);
+  RunConfig dvfs_only = bsr_at(0.0);
   dvfs_only.bsr_use_optimized_guardband = false;
   dvfs_only.bsr_allow_overclocking = false;
-  const RunReport r = dec.run(opts(0.0), dvfs_only);
+  const RunReport r = dec.run(dvfs_only);
   EXPECT_NEAR(r.total_energy_j() / sr.total_energy_j(), 1.0, 0.06);
 }
 
 TEST(Ablation, EnhancedPredictorNotWorseOnEnergy) {
   const Decomposer dec;
-  const RunReport full = dec.run(opts(0.0));
-  ExtendedOptions first_iter;
+  const RunReport full = dec.run(bsr_at(0.0));
+  RunConfig first_iter = bsr_at(0.0);
   first_iter.bsr_use_enhanced_predictor = false;
-  const RunReport without = dec.run(opts(0.0), first_iter);
+  const RunReport without = dec.run(first_iter);
   // Worse predictions -> worse (or at best equal) reclamation decisions.
   EXPECT_LE(full.total_energy_j(), without.total_energy_j() * 1.01);
 }
 
 TEST(Ablation, FullBsrDominatesEveryAblatedVariant) {
   const Decomposer dec;
-  const RunReport full = dec.run(opts(0.0));
+  const RunReport full = dec.run(bsr_at(0.0));
   for (int variant = 0; variant < 3; ++variant) {
-    ExtendedOptions e;
-    if (variant == 0) e.bsr_use_optimized_guardband = false;
-    if (variant == 1) e.bsr_allow_overclocking = false;
-    if (variant == 2) e.bsr_use_enhanced_predictor = false;
-    const RunReport ablated = dec.run(opts(0.0), e);
+    RunConfig cfg = bsr_at(0.0);
+    if (variant == 0) cfg.bsr_use_optimized_guardband = false;
+    if (variant == 1) cfg.bsr_allow_overclocking = false;
+    if (variant == 2) cfg.bsr_use_enhanced_predictor = false;
+    const RunReport ablated = dec.run(cfg);
     EXPECT_LE(full.total_energy_j(), ablated.total_energy_j() * 1.01)
         << "variant " << variant;
   }

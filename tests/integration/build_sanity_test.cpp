@@ -1,5 +1,5 @@
 // Build smoke test: the README quickstart path — a Decomposer with the
-// paper-default platform run under paper-default RunOptions — must produce a
+// paper-default platform run under the paper-default RunConfig — must produce a
 // finite, positive-energy report for all three factorizations. This is the
 // first test a fresh checkout should pass; if it fails, the build or the
 // default configuration is broken, not the numerics.
@@ -11,8 +11,8 @@
 
 namespace {
 
+using bsr::RunConfig;
 using bsr::core::Decomposer;
-using bsr::core::RunOptions;
 using bsr::core::RunReport;
 using bsr::predict::Factorization;
 
@@ -21,10 +21,10 @@ class BuildSanity : public ::testing::TestWithParam<Factorization> {};
 TEST_P(BuildSanity, PaperDefaultRunReportsFiniteEnergy) {
   const Decomposer decomposer;  // paper-default platform
 
-  RunOptions options;  // paper defaults: n=30720, b=512, BSR, timing-only
-  options.factorization = GetParam();
+  RunConfig cfg;  // paper defaults: n=30720, tuned b=512, BSR, timing-only
+  cfg.factorization = GetParam();
 
-  const RunReport report = decomposer.run(options);
+  const RunReport report = decomposer.run(cfg);
 
   EXPECT_TRUE(std::isfinite(report.total_energy_j()));
   EXPECT_GT(report.total_energy_j(), 0.0);

@@ -8,14 +8,15 @@
 namespace bsr::core {
 namespace {
 
-RunOptions paper_opts(predict::Factorization f, StrategyKind s, double r = 0.0) {
-  RunOptions o;
-  o.factorization = f;
-  o.n = 30720;
-  o.b = 512;
-  o.strategy = s;
-  o.reclamation_ratio = r;
-  return o;
+RunConfig paper_cfg(predict::Factorization f, const std::string& strategy,
+                    double r = 0.0) {
+  RunConfig cfg;
+  cfg.factorization = f;
+  cfg.n = 30720;
+  cfg.b = 512;
+  cfg.strategy = strategy;
+  cfg.reclamation_ratio = r;
+  return cfg;
 }
 
 class PaperEnergySaving : public ::testing::TestWithParam<predict::Factorization> {
@@ -25,8 +26,8 @@ TEST_P(PaperEnergySaving, BsrSavesTwentyToFortyPercent) {
   // Fig. 12(a): 28.2%-30.7% at n=30720 on the authors' testbed; we accept a
   // generous band around that.
   const Decomposer dec;
-  const RunReport org = dec.run(paper_opts(GetParam(), StrategyKind::Original));
-  const RunReport bsr = dec.run(paper_opts(GetParam(), StrategyKind::BSR));
+  const RunReport org = dec.run(paper_cfg(GetParam(), "original"));
+  const RunReport bsr = dec.run(paper_cfg(GetParam(), "bsr"));
   const double saving = bsr.energy_saving_vs(org);
   EXPECT_GT(saving, 0.18) << predict::to_string(GetParam());
   EXPECT_LT(saving, 0.45) << predict::to_string(GetParam());
@@ -35,9 +36,9 @@ TEST_P(PaperEnergySaving, BsrSavesTwentyToFortyPercent) {
 TEST_P(PaperEnergySaving, BsrBeatsSrByMeaningfulMargin) {
   // Fig. 11/12: BSR saves 9.6%-11.7% more than SR (of total energy).
   const Decomposer dec;
-  const RunReport org = dec.run(paper_opts(GetParam(), StrategyKind::Original));
-  const RunReport sr = dec.run(paper_opts(GetParam(), StrategyKind::SR));
-  const RunReport bsr = dec.run(paper_opts(GetParam(), StrategyKind::BSR));
+  const RunReport org = dec.run(paper_cfg(GetParam(), "original"));
+  const RunReport sr = dec.run(paper_cfg(GetParam(), "sr"));
+  const RunReport bsr = dec.run(paper_cfg(GetParam(), "bsr"));
   const double margin = bsr.energy_saving_vs(org) - sr.energy_saving_vs(org);
   EXPECT_GT(margin, 0.02) << predict::to_string(GetParam());
   EXPECT_LT(margin, 0.25) << predict::to_string(GetParam());
@@ -46,10 +47,10 @@ TEST_P(PaperEnergySaving, BsrBeatsSrByMeaningfulMargin) {
 TEST_P(PaperEnergySaving, Ed2pOrderingHolds) {
   // Fig. 12(b): BSR reduces ED2P more than SR more than R2H.
   const Decomposer dec;
-  const RunReport org = dec.run(paper_opts(GetParam(), StrategyKind::Original));
-  const RunReport r2h = dec.run(paper_opts(GetParam(), StrategyKind::R2H));
-  const RunReport sr = dec.run(paper_opts(GetParam(), StrategyKind::SR));
-  const RunReport bsr = dec.run(paper_opts(GetParam(), StrategyKind::BSR));
+  const RunReport org = dec.run(paper_cfg(GetParam(), "original"));
+  const RunReport r2h = dec.run(paper_cfg(GetParam(), "r2h"));
+  const RunReport sr = dec.run(paper_cfg(GetParam(), "sr"));
+  const RunReport bsr = dec.run(paper_cfg(GetParam(), "bsr"));
   EXPECT_GT(bsr.ed2p_reduction_vs(org), sr.ed2p_reduction_vs(org));
   EXPECT_GT(sr.ed2p_reduction_vs(org), r2h.ed2p_reduction_vs(org));
   EXPECT_GT(r2h.ed2p_reduction_vs(org), 0.0);
@@ -64,7 +65,7 @@ TEST(PaperClaims, SlackFlipsFromCpuToGpuSide) {
   // Fig. 2 / Fig. 10: CPU-side slack at iteration 2, GPU-side at iteration 50.
   const Decomposer dec;
   const RunReport org =
-      dec.run(paper_opts(predict::Factorization::LU, StrategyKind::Original));
+      dec.run(paper_cfg(predict::Factorization::LU, "original"));
   EXPECT_GT(org.trace.iterations[2].slack.seconds(), 0.0);
   EXPECT_LT(org.trace.iterations[50].slack.seconds(), 0.0);
 }
@@ -74,7 +75,7 @@ TEST(PaperClaims, AdaptiveAbftFrequencyStaircase) {
   // middle band; full checksums at the top clocks late.
   const Decomposer dec;
   const RunReport r = dec.run(
-      paper_opts(predict::Factorization::LU, StrategyKind::BSR, 0.25));
+      paper_cfg(predict::Factorization::LU, "bsr", 0.25));
   const auto& iters = r.trace.iterations;
   // Find the first protected iteration; everything before must be unprotected.
   int first_protected = -1;
@@ -105,11 +106,13 @@ TEST(PaperClaims, AdaptiveAbftFrequencyStaircase) {
 TEST(PaperClaims, AdaptiveOverheadBelowAlwaysOnFull) {
   // Fig. 9: adaptive ABFT ~4% overhead vs ~12% for always-on full checksums.
   const Decomposer dec;
-  const RunOptions o =
-      paper_opts(predict::Factorization::LU, StrategyKind::BSR, 0.25);
-  const RunReport none = dec.run(o, ExtendedOptions{AbftPolicy::ForceNone});
-  const RunReport full = dec.run(o, ExtendedOptions{AbftPolicy::ForceFull});
-  const RunReport adaptive = dec.run(o);
+  RunConfig cfg = paper_cfg(predict::Factorization::LU, "bsr", 0.25);
+  cfg.abft_policy = "none";
+  const RunReport none = dec.run(cfg);
+  cfg.abft_policy = "full";
+  const RunReport full = dec.run(cfg);
+  cfg.abft_policy = "adaptive";
+  const RunReport adaptive = dec.run(cfg);
   const double oh_full = full.seconds() / none.seconds() - 1.0;
   const double oh_adaptive = adaptive.seconds() / none.seconds() - 1.0;
   EXPECT_LT(oh_adaptive, 0.6 * oh_full);
@@ -123,7 +126,7 @@ TEST(PaperClaims, ParetoFrontierEnergyRisesWithR) {
   double prev_energy = 0.0;
   for (double r : {0.0, 0.15, 0.3}) {
     const RunReport rep = dec.run(
-        paper_opts(predict::Factorization::Cholesky, StrategyKind::BSR, r));
+        paper_cfg(predict::Factorization::Cholesky, "bsr", r));
     EXPECT_GT(rep.total_energy_j(), prev_energy);
     prev_energy = rep.total_energy_j();
   }
@@ -134,12 +137,12 @@ TEST(PaperClaims, EnergySavingGrowsWithMatrixSizeThenSaturates) {
   const Decomposer dec;
   std::vector<double> savings;
   for (std::int64_t n : {5120, 10240, 20480, 30720}) {
-    RunOptions o = paper_opts(predict::Factorization::LU, StrategyKind::Original);
-    o.n = n;
-    o.b = tuned_block(n);
-    const RunReport org = dec.run(o);
-    o.strategy = StrategyKind::BSR;
-    savings.push_back(dec.run(o).energy_saving_vs(org));
+    RunConfig cfg = paper_cfg(predict::Factorization::LU, "original");
+    cfg.n = n;
+    cfg.b = tuned_block(n);
+    const RunReport org = dec.run(cfg);
+    cfg.strategy = "bsr";
+    savings.push_back(dec.run(cfg).energy_saving_vs(org));
   }
   EXPECT_LT(savings.front(), savings.back());
   for (double s : savings) EXPECT_GT(s, 0.0);

@@ -17,15 +17,15 @@ class StrategyGrid
 TEST_P(StrategyGrid, BsrNeverSlowerAndNeverProtectsFaultFreeClocks) {
   const auto [fact, n, r] = GetParam();
   const Decomposer dec;
-  RunOptions o;
-  o.factorization = fact;
-  o.n = n;
-  o.b = tuned_block(n);
-  o.strategy = StrategyKind::Original;
-  const RunReport org = dec.run(o);
-  o.strategy = StrategyKind::BSR;
-  o.reclamation_ratio = r;
-  const RunReport bsr = dec.run(o);
+  RunConfig cfg;
+  cfg.factorization = fact;
+  cfg.n = n;
+  cfg.b = tuned_block(n);
+  cfg.strategy = "original";
+  const RunReport org = dec.run(cfg);
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = r;
+  const RunReport bsr = dec.run(cfg);
 
   // Performance guard: BSR must not lose more than a sliver to Original.
   EXPECT_LT(bsr.seconds(), org.seconds() * 1.03)
@@ -62,18 +62,18 @@ class SeedSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SeedSweep, OrderingRobustToNoiseRealization) {
   // The BSR > SR > R2H energy ordering must survive any noise seed.
   const Decomposer dec;
-  RunOptions o;
-  o.n = 30720;
-  o.b = 512;
-  o.seed = static_cast<std::uint64_t>(GetParam()) * 7919 + 3;
-  o.strategy = StrategyKind::Original;
-  const RunReport org = dec.run(o);
-  o.strategy = StrategyKind::R2H;
-  const RunReport r2h = dec.run(o);
-  o.strategy = StrategyKind::SR;
-  const RunReport sr = dec.run(o);
-  o.strategy = StrategyKind::BSR;
-  const RunReport bsr = dec.run(o);
+  RunConfig cfg;
+  cfg.n = 30720;
+  cfg.b = 512;
+  cfg.seed = static_cast<std::uint64_t>(GetParam()) * 7919 + 3;
+  cfg.strategy = "original";
+  const RunReport org = dec.run(cfg);
+  cfg.strategy = "r2h";
+  const RunReport r2h = dec.run(cfg);
+  cfg.strategy = "sr";
+  const RunReport sr = dec.run(cfg);
+  cfg.strategy = "bsr";
+  const RunReport bsr = dec.run(cfg);
   EXPECT_LT(bsr.total_energy_j(), sr.total_energy_j());
   EXPECT_LT(sr.total_energy_j(), r2h.total_energy_j());
   EXPECT_LT(r2h.total_energy_j(), org.total_energy_j());
@@ -86,12 +86,12 @@ class BlockSweep : public ::testing::TestWithParam<std::int64_t> {};
 TEST_P(BlockSweep, PipelineInvariantsAcrossBlockSizes) {
   const std::int64_t b = GetParam();
   const Decomposer dec;
-  RunOptions o;
-  o.n = 16384;
-  o.b = b;
-  o.strategy = StrategyKind::BSR;
-  const RunReport r = dec.run(o);
-  const int expected_iters = static_cast<int>((o.n + b - 1) / b);
+  RunConfig cfg;
+  cfg.n = 16384;
+  cfg.b = b;
+  cfg.strategy = "bsr";
+  const RunReport r = dec.run(cfg);
+  const int expected_iters = static_cast<int>((cfg.n + b - 1) / b);
   EXPECT_EQ(static_cast<int>(r.trace.iterations.size()), expected_iters);
   for (const auto& it : r.trace.iterations) {
     EXPECT_GE(it.span.ns(), 0);
@@ -109,31 +109,31 @@ TEST(StrategyProperty, MonotoneEnergyInReclamationRatio) {
   // Along the r sweep, energy must be non-decreasing (Pareto frontier shape)
   // up to small DVFS-grid plateaus.
   const Decomposer dec;
-  RunOptions o;
-  o.n = 30720;
-  o.b = 512;
-  o.strategy = StrategyKind::BSR;
+  RunConfig cfg;
+  cfg.n = 30720;
+  cfg.b = 512;
+  cfg.strategy = "bsr";
   double prev = 0.0;
   for (double r = 0.0; r <= 0.45; r += 0.05) {
-    o.reclamation_ratio = r;
-    const double e = dec.run(o).total_energy_j();
+    cfg.reclamation_ratio = r;
+    const double e = dec.run(cfg).total_energy_j();
     EXPECT_GE(e, prev * 0.995) << "r=" << r;  // allow rounding plateaus
     prev = e;
   }
 }
 
 TEST(StrategyProperty, TimingModeIndependentOfExecutionMode) {
-  // The schedule must be a pure function of options, not of whether the
+  // The schedule must be a pure function of the config, not of whether the
   // numerics run alongside (numeric runs at a small size for speed).
   const Decomposer dec;
-  RunOptions o;
-  o.n = 192;
-  o.b = 32;
-  o.strategy = StrategyKind::SR;
-  o.mode = ExecutionMode::TimingOnly;
-  const RunReport t = dec.run(o);
-  o.mode = ExecutionMode::Numeric;
-  const RunReport m = dec.run(o);
+  RunConfig cfg;
+  cfg.n = 192;
+  cfg.b = 32;
+  cfg.strategy = "sr";
+  cfg.mode = ExecutionMode::TimingOnly;
+  const RunReport t = dec.run(cfg);
+  cfg.mode = ExecutionMode::Numeric;
+  const RunReport m = dec.run(cfg);
   ASSERT_EQ(t.trace.iterations.size(), m.trace.iterations.size());
   for (std::size_t k = 0; k < t.trace.iterations.size(); ++k) {
     EXPECT_EQ(t.trace.iterations[k].span, m.trace.iterations[k].span);

@@ -41,14 +41,34 @@ TEST(Pipeline, ClockAdvancesBySpan) {
   EXPECT_EQ(pipe.now(), o0.span + o1.span);
 }
 
-TEST(Pipeline, EnergyMatchesMeter) {
+TEST(Pipeline, EnergyIsPowerTimesSegmentTime) {
+  // Each lane's energy is its busy power times its compute time plus its
+  // idle power times the rest of the span (DVFS stalls, the transfer on the
+  // CPU side, and the trailing idle), at the clocks the iteration ran and
+  // under the decision's guardbands.
   const auto platform = hw::PlatformProfile::paper_default();
   HybridPipeline pipe(platform, config());
-  double sum = 0.0;
+  IterationDecision d = base_decision(platform);
+  d.abft_mode = abft::ChecksumMode::SingleSide;
+  d.gpu_guardband = hw::Guardband::Optimized;
   for (int k = 0; k < 10; ++k) {
-    sum += pipe.run_iteration(k, base_decision(platform)).energy_j();
+    d.gpu_freq = k % 2 == 0 ? platform.gpu.freq.base_mhz : 1000;  // DVFS stalls
+    const IterationOutcome o = pipe.run_iteration(k, d);
+    EXPECT_EQ(o.cpu_dvfs + o.transfer + o.pd, o.cpu_lane) << k;
+    EXPECT_EQ(o.gpu_dvfs + o.pu_tmu + o.abft_time, o.gpu_lane) << k;
+
+    const double cpu_j =
+        platform.cpu.busy_power(o.cpu_freq, d.cpu_guardband) * o.pd.seconds() +
+        platform.cpu.idle_power(o.cpu_freq) *
+            (o.cpu_dvfs + o.transfer + (o.span - o.cpu_lane)).seconds();
+    const double gpu_j =
+        platform.gpu.busy_power(o.gpu_freq, d.gpu_guardband) *
+            (o.pu_tmu + o.abft_time).seconds() +
+        platform.gpu.idle_power(o.gpu_freq) *
+            (o.gpu_dvfs + (o.span - o.gpu_lane)).seconds();
+    EXPECT_NEAR(o.cpu_energy_j, cpu_j, 1e-12 * cpu_j) << k;
+    EXPECT_NEAR(o.gpu_energy_j, gpu_j, 1e-12 * gpu_j) << k;
   }
-  EXPECT_NEAR(pipe.meter().total_joules(), sum, 1e-6);
 }
 
 TEST(Pipeline, SlackStartsPositiveFlipsNegative) {

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
 #include "bsr/faults.hpp"
 #include "bsr/variability.hpp"
+#include "common/rng.hpp"
 
 namespace bsr::serve {
 namespace {
@@ -145,6 +148,86 @@ TEST(ReportJson, SerializedBytesArePinned) {
   }
 }
 
+/// `bytes` with its only occurrence of `from` replaced by `to`.
+std::string replaced(std::string bytes, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  EXPECT_EQ(bytes.find(from, at + 1), std::string::npos) << from;
+  if (at != std::string::npos) bytes.replace(at, from.size(), to);
+  return bytes;
+}
+
+TEST(ReportJson, OptionsEchoReadsBackTheRegistryKey) {
+  // The "options" object keeps the StrategyKind spelling; reading it back
+  // yields the canonical registry key, aliases included.
+  const struct {
+    const char* key;
+    const char* spelling;
+    const char* canonical;
+  } cases[] = {{"original", "Original", "original"},
+               {"org", "Original", "original"},
+               {"r2h", "R2H", "r2h"},
+               {"sr", "SR", "sr"},
+               {"BSR", "BSR", "bsr"}};
+  for (const auto& c : cases) {
+    RunConfig cfg = small_config();
+    cfg.strategy = c.key;
+    const std::string bytes = serialize_report(bsr::run(cfg));
+    EXPECT_NE(bytes.find(std::string(R"("strategy":")") + c.spelling + "\""),
+              std::string::npos)
+        << c.key;
+    const core::RunReport restored = deserialize_report(bytes);
+    EXPECT_EQ(restored.config.strategy, c.canonical) << c.key;
+    EXPECT_EQ(serialize_report(restored), bytes) << c.key;
+  }
+}
+
+TEST(ReportJson, UnknownStrategySpellingIsRejected) {
+  const std::string good = serialize_report(bsr::run(small_config()));
+  ASSERT_NO_THROW((void)deserialize_report(good));
+  // Only the four StrategyKind spellings are read; registry keys and other
+  // spellings are not what any writer produced.
+  for (const char* bad : {"bsr", "Bsr", "GreenLA", ""}) {
+    const std::string bytes =
+        replaced(good, R"("strategy":"BSR")",
+                 std::string(R"("strategy":")") + bad + "\"");
+    EXPECT_THROW((void)deserialize_report(bytes), std::runtime_error) << bad;
+  }
+}
+
+TEST(ReportJson, UnstoredConfigFieldsReadBackAsDefaults) {
+  RunConfig cfg = small_config();
+  cfg.strategy = "sr";
+  cfg.seed = 42;
+  cfg.abft_policy = "single";
+  cfg.bsr_use_enhanced_predictor = false;
+  cfg.devices = 2;
+  cfg.cluster = "nvlink_pairs";
+  cfg.rebalance = true;
+  const core::RunReport report = bsr::run(cfg);
+  const core::RunReport restored =
+      deserialize_report(serialize_report(report));
+  // The echoed knobs survive...
+  EXPECT_EQ(restored.config.n, cfg.n);
+  EXPECT_EQ(restored.config.b, cfg.b);
+  EXPECT_EQ(restored.config.strategy, "sr");
+  EXPECT_EQ(restored.config.seed, 42u);
+  // ...and the rest reads back as RunConfig's defaults.
+  const RunConfig defaults;
+  EXPECT_EQ(restored.config.abft_policy, defaults.abft_policy);
+  EXPECT_EQ(restored.config.bsr_use_enhanced_predictor,
+            defaults.bsr_use_enhanced_predictor);
+  EXPECT_EQ(restored.config.platform, defaults.platform);
+  EXPECT_EQ(restored.config.devices, defaults.devices);
+  EXPECT_EQ(restored.config.cluster, defaults.cluster);
+  EXPECT_EQ(restored.config.rebalance, defaults.rebalance);
+  EXPECT_EQ(restored.config.trace, nullptr);
+  // strategy_name is stored as is.
+  EXPECT_EQ(restored.strategy_name, report.strategy_name);
+  EXPECT_EQ(restored.strategy_name, "sr");
+}
+
 TEST(ReportJson, MalformedInputIsRejectedLoudly) {
   EXPECT_THROW((void)deserialize_report("{"), std::runtime_error);
   EXPECT_THROW((void)deserialize_report("[]"), std::runtime_error);
@@ -160,11 +243,147 @@ TEST(ConfigJson, RoundTripPreservesTheFingerprint) {
   RunConfig cfg = faulty_config();
   cfg.strategy = "sr";
   cfg.seed = 123456789012345ULL;
-  const RunConfig restored =
-      config_from_json(JsonValue::parse(serialize_config(cfg)));
-  EXPECT_EQ(restored.fingerprint(), cfg.fingerprint());
-  EXPECT_EQ(restored.seed, cfg.seed);
-  EXPECT_EQ(restored.strategy, cfg.strategy);
+  // A rack run off its auto layout (which would be 4x2, tree, static
+  // shares): parsed back without its layout it is a different experiment.
+  RunConfig rack = small_config();
+  rack.devices = 8;
+  rack.cluster = "rack_8x8";
+  rack.grid_p = 2;
+  rack.grid_q = 4;
+  rack.collective = "ring";
+  rack.rebalance = true;
+  for (const RunConfig& c : {cfg, rack}) {
+    const RunConfig restored =
+        config_from_json(JsonValue::parse(serialize_config(c)));
+    EXPECT_EQ(restored.fingerprint(), c.fingerprint());
+    EXPECT_EQ(restored.seed, c.seed);
+    EXPECT_EQ(restored.strategy, c.strategy);
+  }
+}
+
+TEST(ConfigJson, AcceptsTheClusterLayoutFields) {
+  const RunConfig cfg = config_from_json(JsonValue::parse(
+      R"({"devices":8,"cluster":"rack_8x8","grid_p":2,"grid_q":4,)"
+      R"("collective":"ring","rebalance":true})"));
+  EXPECT_EQ(cfg.grid_p, 2);
+  EXPECT_EQ(cfg.grid_q, 4);
+  EXPECT_EQ(cfg.collective, "ring");
+  EXPECT_TRUE(cfg.rebalance);
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NE(cfg.fingerprint().find(";grid=2x4;coll=ring;rebal=1;"),
+            std::string::npos)
+      << cfg.fingerprint();
+}
+
+/// A seeded random RunConfig over every field serialize_config writes. The
+/// values need not pass validate() — the codec carries any config — but the
+/// registry keys resolve, so fingerprint() can canonicalize them.
+RunConfig random_config(Rng& rng) {
+  const auto pick = [&rng](std::initializer_list<const char*> keys) {
+    return std::string(keys.begin()[rng.next_below(keys.size())]);
+  };
+  const auto flag = [&rng] { return rng.next_below(2) == 1; };
+  const auto count = [&rng](int hi) {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(hi) + 1));
+  };
+  const auto real = [&rng, &count] {
+    // Decimals binary cannot hold, unit draws needing all 17 digits, and
+    // magnitudes far from 1 on either side.
+    switch (rng.next_below(4)) {
+      case 0: return 0.1 * count(10);
+      case 1: return rng.uniform(0.0, 1.0);
+      case 2: return std::ldexp(rng.uniform(0.5, 1.0), count(200) - 100);
+      default: return -rng.uniform(0.0, 1e6);
+    }
+  };
+  RunConfig c;
+  c.factorization = std::initializer_list<Factorization>{
+      Factorization::Cholesky, Factorization::LU,
+      Factorization::QR}.begin()[rng.next_below(3)];
+  c.n = static_cast<std::int64_t>(rng.next_u64() >> count(63));
+  c.b = static_cast<std::int64_t>(rng.next_below(1024));
+  c.elem_bytes = flag() ? 4 : 8;
+  c.strategy = pick({"original", "org", "r2h", "sr", "bsr", "BSR"});
+  c.reclamation_ratio = real();
+  c.fc_desired = real();
+  c.bsr_use_optimized_guardband = flag();
+  c.bsr_allow_overclocking = flag();
+  c.bsr_use_enhanced_predictor = flag();
+  c.abft_policy = pick({"adaptive", "none", "single", "full", "force_full"});
+  c.recover_uncorrectable = flag();
+  c.mode = flag() ? ExecutionMode::Numeric : ExecutionMode::TimingOnly;
+  c.seed = rng.next_u64();
+  c.error_rate_multiplier = real();
+  c.noise_enabled = flag();
+  c.platform = pick({"paper_default", "test_small", "numeric_demo", "paper"});
+
+  c.variability.enabled = flag();
+  c.variability.drift = real();
+  c.variability.drift_cap = real();
+  c.variability.transfer_jitter = real();
+  c.variability.dvfs_jitter = real();
+  c.variability.freq_quantum_mhz = count(200);
+  c.variability.boost_budget_s = real();
+  c.variability.boost_recovery = real();
+  c.variability.seed = rng.next_u64();
+
+  c.faults.enabled = flag();
+  c.faults.process =
+      flag() ? faultcamp::ProcessKind::Fixed : faultcamp::ProcessKind::Poisson;
+  c.faults.rate_multiplier = real();
+  c.faults.background_rate_per_s = real();
+  c.faults.burst_mean = real();
+  c.faults.hazard_sigma = real();
+  c.faults.fixed_d0 = count(5);
+  c.faults.fixed_d1 = count(5);
+  c.faults.fixed_d2 = count(5);
+  c.faults.correction_s = real();
+  c.faults.rollback = flag();
+  c.faults.seed = rng.next_u64();
+
+  c.devices = flag() ? 0 : 1 << count(6);
+  c.cluster = pick({"paper_cluster", "nvlink_pairs", "rack_4x8", "rack_8x8",
+                    "rack"});
+  if (flag()) {
+    c.grid_p = count(8);
+    c.grid_q = count(8);
+  }
+  c.collective = pick({"auto", "relay", "ring", "tree", "binomial"});
+  c.rebalance = flag();
+  return c;
+}
+
+TEST(ConfigJson, SerializeParseSerializeIsAFixpoint) {
+  Rng rng(15);
+  for (int i = 0; i < 1000; ++i) {
+    const RunConfig cfg = random_config(rng);
+    const std::string bytes = serialize_config(cfg);
+    const RunConfig back = config_from_json(JsonValue::parse(bytes));
+    ASSERT_EQ(serialize_config(back), bytes) << "config " << i;
+    ASSERT_EQ(back.fingerprint(), cfg.fingerprint()) << bytes;
+  }
+}
+
+TEST(ConfigJson, LayoutFieldsFollowClusterInEveryConfig) {
+  // Single-node configs carry the cluster layout too, at its defaults, so
+  // every request line has the same keys in the same order.
+  const std::string defaults = serialize_config(small_config());
+  EXPECT_NE(defaults.find(R"("cluster":"paper_cluster","grid_p":0,"grid_q":0,)"
+                          R"("collective":"auto","rebalance":false})"),
+            std::string::npos)
+      << defaults;
+  RunConfig rack = small_config();
+  rack.devices = 8;
+  rack.cluster = "rack_8x8";
+  rack.grid_p = 2;
+  rack.grid_q = 4;
+  rack.collective = "ring";
+  rack.rebalance = true;
+  const std::string bytes = serialize_config(rack);
+  EXPECT_NE(bytes.find(R"("cluster":"rack_8x8","grid_p":2,"grid_q":4,)"
+                       R"("collective":"ring","rebalance":true})"),
+            std::string::npos)
+      << bytes;
 }
 
 TEST(ConfigJson, AbsentFieldsKeepDefaults) {
@@ -176,6 +395,26 @@ TEST(ConfigJson, AbsentFieldsKeepDefaults) {
   EXPECT_EQ(cfg.abft_policy, defaults.abft_policy);
   EXPECT_EQ(cfg.seed, defaults.seed);
   EXPECT_EQ(cfg.platform, defaults.platform);
+}
+
+TEST(ConfigJson, IntegersOutsideIntRangeAreRefusedNotWrapped) {
+  // 4294967298 is 2 modulo 2^32: narrowed, it would read as a valid grid.
+  for (const char* json :
+       {R"({"grid_p":4294967298})", R"({"grid_q":-2147483649})",
+        R"({"devices":4294967304})", R"({"elem_bytes":4294967304})",
+        R"({"variability":{"freq_quantum_mhz":2147483648}})",
+        R"({"faults":{"fixed_d0":-4294967295}})"}) {
+    EXPECT_THROW((void)config_from_json(JsonValue::parse(json)),
+                 std::runtime_error)
+        << json;
+  }
+  // The bounds themselves are in range.
+  EXPECT_EQ(config_from_json(JsonValue::parse(R"({"grid_p":2147483647})"))
+                .grid_p,
+            2147483647);
+  EXPECT_EQ(config_from_json(JsonValue::parse(R"({"grid_q":-2147483648})"))
+                .grid_q,
+            -2147483647 - 1);
 }
 
 TEST(ConfigJson, UnknownKeysThrowInsteadOfRunningTheWrongExperiment) {

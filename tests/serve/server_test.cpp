@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -290,6 +291,62 @@ TEST(ServerTest, SweepOpExpandsAxesAndDedupesViaFingerprints) {
   ts.server->stop();
 }
 
+/// An 8-device rack config with its layout off the auto default (which
+/// would be 4x2, tree, static shares).
+constexpr const char* kRackLayoutConfig =
+    R"({"n":1024,"b":128,"devices":8,"cluster":"rack_8x8","grid_p":2,)"
+    R"("grid_q":4,"collective":"ring","rebalance":true})";
+
+TEST(ServerTest, RunRequestsCarryTheClusterLayout) {
+  std::mutex mu;
+  RunConfig seen;  // the config the worker ran, guarded by mu
+  ServerConfig cfg;
+  cfg.runner = [&](const RunConfig& c) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      seen = c;
+    }
+    return bsr::run(c);
+  };
+  TestServer ts(std::move(cfg));
+  Client c = ts.client();
+  const JsonValue v = c.call(run_request(kRackLayoutConfig));
+  ASSERT_TRUE(v.at("ok").as_bool()) << v.dump();
+  const RunConfig ran = [&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    return seen;
+  }();
+  EXPECT_EQ(ran.grid_p, 2);
+  EXPECT_EQ(ran.grid_q, 4);
+  EXPECT_EQ(ran.collective, "ring");
+  EXPECT_TRUE(ran.rebalance);
+  EXPECT_EQ(v.at("fingerprint").as_string(), ran.fingerprint());
+  EXPECT_NE(ran.fingerprint().find(";grid=2x4;coll=ring;rebal=1;"),
+            std::string::npos)
+      << ran.fingerprint();
+  ts.server->stop();
+}
+
+TEST(ServerTest, ClusterLayoutsAreDistinctCacheEntries) {
+  TestServer ts;
+  Client c = ts.client();
+  const std::string auto_layout =
+      R"({"n":1024,"b":128,"devices":8,"cluster":"rack_8x8"})";
+  const JsonValue a = c.call(run_request(auto_layout));
+  const JsonValue b = c.call(run_request(kRackLayoutConfig));
+  ASSERT_TRUE(a.at("ok").as_bool()) << a.dump();
+  ASSERT_TRUE(b.at("ok").as_bool()) << b.dump();
+  EXPECT_EQ(b.at("source").as_string(), "executed");
+  EXPECT_NE(a.at("fingerprint").as_string(), b.at("fingerprint").as_string());
+  EXPECT_EQ(ts.executions.load(), 2);
+  // Each layout is then served from its own entry.
+  const JsonValue again = c.call(run_request(kRackLayoutConfig));
+  EXPECT_EQ(again.at("source").as_string(), "memory");
+  EXPECT_EQ(again.at("report").dump(), b.at("report").dump());
+  EXPECT_EQ(ts.executions.load(), 2);
+  ts.server->stop();
+}
+
 TEST(ServerTest, BadRequestsAnswerOkFalseAndKeepTheConnectionUsable) {
   TestServer ts;
   Client c = ts.client();
@@ -305,11 +362,22 @@ TEST(ServerTest, BadRequestsAnswerOkFalseAndKeepTheConnectionUsable) {
   const JsonValue bad4 = c.call(std::string(200000, '['));
   EXPECT_FALSE(bad4.at("ok").as_bool());
   EXPECT_FALSE(bad4.at("retry").as_bool());
+  // Grids that do not cover the devices: 3 x 1431655768 wraps to 8 in int
+  // arithmetic, and 4294967298 narrows to 2 as an int.
+  for (const char* config :
+       {R"({"devices":8,"cluster":"rack_8x8","grid_p":3,)"
+        R"("grid_q":1431655768})",
+        R"({"devices":8,"cluster":"rack_8x8","grid_p":4294967298,)"
+        R"("grid_q":4})"}) {
+    const JsonValue bad = c.call(run_request(config));
+    EXPECT_FALSE(bad.at("ok").as_bool()) << config;
+    EXPECT_FALSE(bad.at("retry").as_bool()) << config;
+  }
 
   // Same connection still serves good requests afterwards.
   const JsonValue good = c.call(R"({"op":"stats"})");
   EXPECT_TRUE(good.at("ok").as_bool());
-  EXPECT_EQ(good.at("bad_requests").to_int64(), 4);
+  EXPECT_EQ(good.at("bad_requests").to_int64(), 6);
   EXPECT_EQ(ts.executions.load(), 0);
   ts.server->stop();
 }
