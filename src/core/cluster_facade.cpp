@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/decomposer.hpp"
+
 namespace bsr {
 
 Registry<ClusterProfileFactory>& cluster_profiles() {
@@ -116,23 +118,9 @@ cluster::ClusterOptions lower_options(const RunConfig& cfg) {
       o.strategy = cluster::ClusterStrategy::BSR;
       break;
   }
-  o.bsr.reclamation_ratio = cfg.reclamation_ratio;
-  o.bsr.fc_desired = cfg.fc_desired;
-  o.bsr.use_optimized_guardband = cfg.bsr_use_optimized_guardband;
-  o.bsr.allow_overclocking = cfg.bsr_allow_overclocking;
-  o.bsr.use_enhanced_predictor = cfg.bsr_use_enhanced_predictor;
-  switch (abft_policies().get(cfg.abft_policy)) {
-    case core::AbftPolicy::Adaptive: break;  // nullopt = per-device ABFT-OC
-    case core::AbftPolicy::ForceNone:
-      o.forced_abft = abft::ChecksumMode::None;
-      break;
-    case core::AbftPolicy::ForceSingle:
-      o.forced_abft = abft::ChecksumMode::SingleSide;
-      break;
-    case core::AbftPolicy::ForceFull:
-      o.forced_abft = abft::ChecksumMode::Full;
-      break;
-  }
+  o.bsr = core::bsr_config(cfg);
+  // nullopt (Adaptive) = per-device ABFT-OC.
+  o.forced_abft = core::forced_checksum(abft_policies().get(cfg.abft_policy));
   o.seed = cfg.seed;
   o.noise.enabled = cfg.noise_enabled;
   o.variability = cfg.variability;

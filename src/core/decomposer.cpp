@@ -254,6 +254,24 @@ class NumericRunner final : public NumericRunnerBase {
 
 }  // namespace
 
+energy::BsrConfig bsr_config(const RunConfig& cfg) {
+  return {.reclamation_ratio = cfg.reclamation_ratio,
+          .fc_desired = cfg.fc_desired,
+          .use_optimized_guardband = cfg.bsr_use_optimized_guardband,
+          .allow_overclocking = cfg.bsr_allow_overclocking,
+          .use_enhanced_predictor = cfg.bsr_use_enhanced_predictor};
+}
+
+std::optional<abft::ChecksumMode> forced_checksum(AbftPolicy policy) {
+  switch (policy) {
+    case AbftPolicy::Adaptive: break;
+    case AbftPolicy::ForceNone: return abft::ChecksumMode::None;
+    case AbftPolicy::ForceSingle: return abft::ChecksumMode::SingleSide;
+    case AbftPolicy::ForceFull: return abft::ChecksumMode::Full;
+  }
+  return std::nullopt;
+}
+
 Decomposer::Decomposer(hw::PlatformProfile platform)
     : platform_(std::move(platform)) {}
 
@@ -265,7 +283,8 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
     return bsr::run_cluster(cfg);
   }
   const StrategyEntry& entry = strategies().get(cfg.strategy);
-  const AbftPolicy abft_policy = abft_policies().get(cfg.abft_policy);
+  const std::optional<abft::ChecksumMode> forced =
+      forced_checksum(abft_policies().get(cfg.abft_policy));
   const predict::WorkloadModel wl = cfg.workload();
   const auto strategy = entry.make(cfg, wl);
 
@@ -310,14 +329,7 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
 
   for (int k = 0; k < pipe.num_iterations(); ++k) {
     sched::IterationDecision d = strategy->decide(k, pipe);
-    switch (abft_policy) {
-      case AbftPolicy::Adaptive: break;
-      case AbftPolicy::ForceNone: d.abft_mode = abft::ChecksumMode::None; break;
-      case AbftPolicy::ForceSingle:
-        d.abft_mode = abft::ChecksumMode::SingleSide;
-        break;
-      case AbftPolicy::ForceFull: d.abft_mode = abft::ChecksumMode::Full; break;
-    }
+    if (forced) d.abft_mode = *forced;
     const sched::IterationOutcome o = pipe.run_iteration(k, d);
     strategy->observe(k, o);
     report.trace.add(o);

@@ -11,8 +11,12 @@
 //   std::cout << report.total_energy_j() << " J\n";
 #pragma once
 
+#include <optional>
+
+#include "abft/checksum.hpp"
 #include "bsr/run_config.hpp"
 #include "core/report.hpp"
+#include "energy/bsr_strategy.hpp"
 #include "hw/platform.hpp"
 
 namespace bsr::core {
@@ -36,5 +40,16 @@ class Decomposer {
 };
 
 std::string summarize(const RunReport& r);
+
+// ---- lowerings both engines share -------------------------------------------
+
+/// The config's r, fc_desired and ablation switches, as BSR reads them on
+/// either engine.
+energy::BsrConfig bsr_config(const RunConfig& cfg);
+
+/// The checksum mode `policy` forces on every iteration (every
+/// device-iteration on clusters); nullopt for Adaptive, where ABFT-OC
+/// chooses.
+std::optional<abft::ChecksumMode> forced_checksum(AbftPolicy policy);
 
 }  // namespace bsr::core

@@ -12,6 +12,12 @@ std::int64_t tuned_block(std::int64_t n) {
   return std::clamp<std::int64_t>(raw, 64, 512);
 }
 
+BsrKnobUse bsr_knob_use(const std::string& strategy_key, int devices) {
+  const bool knobs = !(strategy_key == "original" || strategy_key == "r2h" ||
+                       strategy_key == "sr");
+  return {knobs, knobs || devices >= 1};
+}
+
 const char* to_string(StrategyKind s) {
   switch (s) {
     case StrategyKind::Original: return "Original";

@@ -42,6 +42,19 @@ enum class AbftPolicy {
 /// the 64-grid and clamped to [64, 512] (512 at the paper's n = 30720).
 std::int64_t tuned_block(std::int64_t n);
 
+/// Which BSR-only RunConfig knobs a run reads, by its canonical strategies()
+/// key. The built-in non-BSR strategies ("original", "r2h", "sr") provably
+/// ignore them, except fc_desired on cluster runs (devices >= 1), where
+/// per-device ABFT-OC consults it under every strategy. BSR and
+/// registry-only strategies read them all: their factories receive the
+/// whole config. RunConfig::fingerprint() and Sweep's baselines reset the
+/// knobs a run does not read to their defaults.
+struct BsrKnobUse {
+  bool knobs;  ///< reclamation_ratio and the three bsr_* switches
+  bool fc;     ///< fc_desired
+};
+BsrKnobUse bsr_knob_use(const std::string& strategy_key, int devices);
+
 const char* to_string(StrategyKind s);
 const char* to_string(ExecutionMode m);
 

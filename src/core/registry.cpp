@@ -11,6 +11,7 @@
 #include "bsr/variability.hpp"
 #include "common/cli.hpp"
 #include "common/stdio_stream.hpp"
+#include "core/decomposer.hpp"
 #include "energy/baselines.hpp"
 #include "energy/bsr_strategy.hpp"
 #include "energy/sr.hpp"
@@ -39,13 +40,8 @@ Registry<StrategyEntry>& strategies() {
     r.add("bsr", {StrategyKind::BSR,
                   [](const RunConfig& cfg, const predict::WorkloadModel& wl)
                       -> std::unique_ptr<energy::Strategy> {
-                    energy::BsrConfig c;
-                    c.reclamation_ratio = cfg.reclamation_ratio;
-                    c.fc_desired = cfg.fc_desired;
-                    c.use_optimized_guardband = cfg.bsr_use_optimized_guardband;
-                    c.allow_overclocking = cfg.bsr_allow_overclocking;
-                    c.use_enhanced_predictor = cfg.bsr_use_enhanced_predictor;
-                    return std::make_unique<energy::BsrStrategy>(wl, c);
+                    return std::make_unique<energy::BsrStrategy>(
+                        wl, core::bsr_config(cfg));
                   }});
     r.alias("org", "original");
     return r;

@@ -137,26 +137,17 @@ std::string RunConfig::fingerprint() const {
   // "original") fingerprint — and therefore cache — identically.
   const std::string strat = strategies().canonical(strategy);
   fp += ";strategy=" + strat;
-  // The built-in non-BSR strategies provably ignore the BSR-only knobs, so
-  // those are normalized out: a (strategy x r) grid runs Original once, not
-  // once per r. Registry-registered strategies keep the full fingerprint —
-  // their factories receive the whole config and may read any field.
-  const bool bsr_knobs_apply =
-      !(strat == "original" || strat == "r2h" || strat == "sr");
-  // The cluster engine consults fc_desired for *every* strategy (per-device
-  // ABFT-OC runs under Original/R2H/SR too), so fc stays significant on
-  // cluster runs even when the other BSR knobs normalize out.
-  const bool fc_applies = bsr_knobs_apply || devices >= 1;
+  // The BSR-only knobs a strategy ignores are normalized out
+  // (core::bsr_knob_use has the rule): a (strategy x r) grid runs Original
+  // once, not once per r.
+  const core::BsrKnobUse use = core::bsr_knob_use(strat, devices);
   const RunConfig defaults;
-  fp += ";r=" + num(bsr_knobs_apply ? reclamation_ratio
-                                    : defaults.reclamation_ratio);
-  fp += ";fc=" + num(fc_applies ? fc_desired : defaults.fc_desired);
-  fp += ";gb=" + std::to_string(bsr_knobs_apply ? bsr_use_optimized_guardband
-                                                : defaults.bsr_use_optimized_guardband);
-  fp += ";oc=" + std::to_string(bsr_knobs_apply ? bsr_allow_overclocking
-                                                : defaults.bsr_allow_overclocking);
-  fp += ";pred=" + std::to_string(bsr_knobs_apply ? bsr_use_enhanced_predictor
-                                                  : defaults.bsr_use_enhanced_predictor);
+  const RunConfig& knobs = use.knobs ? *this : defaults;
+  fp += ";r=" + num(knobs.reclamation_ratio);
+  fp += ";fc=" + num(use.fc ? fc_desired : defaults.fc_desired);
+  fp += ";gb=" + std::to_string(knobs.bsr_use_optimized_guardband);
+  fp += ";oc=" + std::to_string(knobs.bsr_allow_overclocking);
+  fp += ";pred=" + std::to_string(knobs.bsr_use_enhanced_predictor);
   fp += ";abft=" + abft_policies().canonical(abft_policy);
   // recover_uncorrectable only influences numeric execution; normalizing it
   // out in timing-only runs lets e.g. fig09's "Single" and "Single+recovery"

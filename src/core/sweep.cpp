@@ -188,26 +188,20 @@ namespace {
 
 /// The baseline for a cell: same configuration, baseline strategy substituted
 /// (canonicalized, so "BSR"/"org" spellings behave like "bsr"/"original").
-/// For the built-in non-BSR baselines — which provably ignore the BSR-only
-/// knobs — those knobs reset to defaults so e.g. all nine r-values of a
-/// Pareto scan share one cached Original run. BSR itself and
-/// runtime-registered strategies keep the cell's knobs: their factories
-/// receive the whole config and may read any field (mirrors the same
-/// distinction in RunConfig::fingerprint()).
+/// The BSR-only knobs the baseline does not read reset to their defaults
+/// (core::bsr_knob_use), so e.g. all nine r-values of a Pareto scan share one
+/// cached Original run.
 RunConfig baseline_config(RunConfig cfg, const std::string& strategy_key_raw) {
-  const std::string strategy_key = strategies().canonical(strategy_key_raw);
-  cfg.strategy = strategy_key;
-  if (strategy_key == "original" || strategy_key == "r2h" ||
-      strategy_key == "sr") {
-    const RunConfig defaults;
+  cfg.strategy = strategies().canonical(strategy_key_raw);
+  const core::BsrKnobUse use = core::bsr_knob_use(cfg.strategy, cfg.devices);
+  const RunConfig defaults;
+  if (!use.knobs) {
     cfg.reclamation_ratio = defaults.reclamation_ratio;
-    // fc_desired stays on cluster runs: per-device ABFT-OC consults it under
-    // every strategy there (mirrors RunConfig::fingerprint()).
-    if (cfg.devices < 1) cfg.fc_desired = defaults.fc_desired;
     cfg.bsr_use_optimized_guardband = defaults.bsr_use_optimized_guardband;
     cfg.bsr_allow_overclocking = defaults.bsr_allow_overclocking;
     cfg.bsr_use_enhanced_predictor = defaults.bsr_use_enhanced_predictor;
   }
+  if (!use.fc) cfg.fc_desired = defaults.fc_desired;
   return cfg;
 }
 

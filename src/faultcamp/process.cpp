@@ -10,29 +10,32 @@ void validate(const Spec& spec) {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("faults: " + what);
   };
-  if (!(spec.rate_multiplier >= 0.0)) {
-    fail("rate_multiplier must be >= 0 (got " +
-         std::to_string(spec.rate_multiplier) + ")");
-  }
-  if (!(spec.background_rate_per_s >= 0.0)) {
-    fail("background_rate_per_s must be >= 0 (got " +
-         std::to_string(spec.background_rate_per_s) + ")");
-  }
-  if (!(spec.burst_mean >= 1.0)) {
-    fail("burst_mean must be >= 1 (got " + std::to_string(spec.burst_mean) +
-         ")");
-  }
-  if (!(spec.hazard_sigma >= 0.0)) {
-    fail("hazard_sigma must be >= 0 (got " + std::to_string(spec.hazard_sigma) +
-         ")");
-  }
+  // +inf meets every bound below, yet no process is defined there and JSON
+  // cannot carry it. It is refused after the bound checks, so a spec they
+  // reject keeps its message.
+  std::string infinite;
+  const auto check = [&](const char* name, double v, bool in_bounds,
+                         const char* bound) {
+    if (!in_bounds) {
+      fail(std::string(name) + " must be " + bound + " (got " +
+           std::to_string(v) + ")");
+    }
+    if (std::isinf(v) && infinite.empty()) {
+      infinite =
+          std::string(name) + " must be finite and " + bound + " (got inf)";
+    }
+  };
+  check("rate_multiplier", spec.rate_multiplier, spec.rate_multiplier >= 0.0,
+        ">= 0");
+  check("background_rate_per_s", spec.background_rate_per_s,
+        spec.background_rate_per_s >= 0.0, ">= 0");
+  check("burst_mean", spec.burst_mean, spec.burst_mean >= 1.0, ">= 1");
+  check("hazard_sigma", spec.hazard_sigma, spec.hazard_sigma >= 0.0, ">= 0");
   if (spec.fixed_d0 < 0 || spec.fixed_d1 < 0 || spec.fixed_d2 < 0) {
     fail("fixed_d0/d1/d2 must be >= 0");
   }
-  if (!(spec.correction_s >= 0.0)) {
-    fail("correction_s must be >= 0 (got " + std::to_string(spec.correction_s) +
-         ")");
-  }
+  check("correction_s", spec.correction_s, spec.correction_s >= 0.0, ">= 0");
+  if (!infinite.empty()) fail(infinite);
 }
 
 std::string fingerprint_fragment(const Spec& spec) {

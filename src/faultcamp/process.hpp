@@ -119,7 +119,7 @@ struct Spec {
 
 /// Throws std::invalid_argument (message prefixed "faults:") when any field
 /// is out of range: negative rates/sigma/correction latency, burst_mean < 1,
-/// or negative fixed counts.
+/// negative fixed counts, or an infinite double.
 void validate(const Spec& spec);
 
 /// Canonical "key=value;"-style fragment of every field, for

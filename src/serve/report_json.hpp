@@ -15,6 +15,17 @@
 // reports. Doubles are written in shortest-exact form (common/json.hpp),
 // SimTime as integer nanoseconds, and uint64 seeds as quoted decimal
 // strings (they can exceed the int64 range JSON numbers round-trip safely).
+//
+// Each wire struct (RunConfig, its variability and faults blocks, and every
+// report struct) has one field list in report_json.cpp, and a field's wire
+// name lives there and nowhere else: the writer, the strict report reader
+// and the lenient request reader are all generated from it, with the
+// member's C++ type picking its codec. Only the report's frozen "options"
+// echo is written out by hand. A new RunConfig field therefore needs one
+// line in RunConfig's list, plus its checks in RunConfig::validate() and
+// its spelling in RunConfig::fingerprint();
+// ConfigJson.EverySerializedFieldReachesTheFingerprint fails until the
+// fingerprint line exists.
 #pragma once
 
 #include <string>

@@ -11,32 +11,35 @@ void validate(const Spec& spec) {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("variability: " + what);
   };
-  if (!(spec.drift >= 0.0)) {
-    fail("drift must be >= 0 (got " + std::to_string(spec.drift) + ")");
-  }
-  if (!(spec.drift_cap > 0.0)) {
-    fail("drift_cap must be > 0 (got " + std::to_string(spec.drift_cap) + ")");
-  }
-  if (!(spec.transfer_jitter >= 0.0)) {
-    fail("transfer_jitter must be >= 0 (got " +
-         std::to_string(spec.transfer_jitter) + ")");
-  }
-  if (!(spec.dvfs_jitter >= 0.0)) {
-    fail("dvfs_jitter must be >= 0 (got " + std::to_string(spec.dvfs_jitter) +
-         ")");
-  }
+  // +inf meets every bound below, yet no model is defined there and JSON
+  // cannot carry it. It is refused after the bound checks, so a spec they
+  // reject keeps its message.
+  std::string infinite;
+  const auto check = [&](const char* name, double v, bool in_bounds,
+                         const char* bound) {
+    if (!in_bounds) {
+      fail(std::string(name) + " must be " + bound + " (got " +
+           std::to_string(v) + ")");
+    }
+    if (std::isinf(v) && infinite.empty()) {
+      infinite =
+          std::string(name) + " must be finite and " + bound + " (got inf)";
+    }
+  };
+  check("drift", spec.drift, spec.drift >= 0.0, ">= 0");
+  check("drift_cap", spec.drift_cap, spec.drift_cap > 0.0, "> 0");
+  check("transfer_jitter", spec.transfer_jitter, spec.transfer_jitter >= 0.0,
+        ">= 0");
+  check("dvfs_jitter", spec.dvfs_jitter, spec.dvfs_jitter >= 0.0, ">= 0");
   if (spec.freq_quantum_mhz < 0) {
     fail("freq_quantum_mhz must be >= 0 (got " +
          std::to_string(spec.freq_quantum_mhz) + ")");
   }
-  if (!(spec.boost_budget_s >= 0.0)) {
-    fail("boost_budget_s must be >= 0 (got " +
-         std::to_string(spec.boost_budget_s) + ")");
-  }
-  if (!(spec.boost_recovery > 0.0)) {
-    fail("boost_recovery must be > 0 (got " +
-         std::to_string(spec.boost_recovery) + ")");
-  }
+  check("boost_budget_s", spec.boost_budget_s, spec.boost_budget_s >= 0.0,
+        ">= 0");
+  check("boost_recovery", spec.boost_recovery, spec.boost_recovery > 0.0,
+        "> 0");
+  if (!infinite.empty()) fail(infinite);
 }
 
 std::string fingerprint_fragment(const Spec& spec) {

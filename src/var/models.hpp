@@ -82,8 +82,8 @@ struct Spec {
 };
 
 /// Throws std::invalid_argument (message prefixed "variability:") when any
-/// field is out of range: negative sigmas/budget/quantum, drift_cap <= 0, or
-/// boost_recovery <= 0.
+/// field is out of range: negative sigmas/budget/quantum, drift_cap <= 0,
+/// boost_recovery <= 0, or an infinite double.
 void validate(const Spec& spec);
 
 /// Canonical "key=value;"-style fragment of every field, for

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,15 @@ TEST(FaultSpecValidate, RejectsOutOfRangeFields) {
   s = Spec{};
   s.correction_s = -1e-3;
   expect_reject(s, "negative correction latency");
+  // +inf meets every lower bound, but no process is defined there.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double Spec::*field :
+       {&Spec::rate_multiplier, &Spec::background_rate_per_s,
+        &Spec::burst_mean, &Spec::hazard_sigma, &Spec::correction_s}) {
+    s = Spec{};
+    s.*field = inf;
+    expect_reject(s, "infinite double field");
+  }
   validate(Spec{});  // the default is valid
 }
 

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bsr/faults.hpp"
 #include "bsr/variability.hpp"
@@ -415,6 +420,200 @@ TEST(ConfigJson, IntegersOutsideIntRangeAreRefusedNotWrapped) {
   EXPECT_EQ(config_from_json(JsonValue::parse(R"({"grid_q":-2147483648})"))
                 .grid_q,
             -2147483647 - 1);
+}
+
+// ---- every serialized field reaches the fingerprint -------------------------
+
+/// A base config for the fingerprint-coverage test below.
+struct FingerprintBase {
+  const char* name;
+  RunConfig config;
+  /// The keys fingerprint() normalizes out of this base, by its documented
+  /// rules. "block.*" stands for every key of a disabled block but
+  /// block.enabled: the whole block collapses to one key.
+  std::vector<std::string> normalized_out;
+  /// The keys whose replacement validate() rejects under this base.
+  std::vector<std::string> invalid;
+};
+
+std::vector<FingerprintBase> fingerprint_bases() {
+  RunConfig numeric;
+  numeric.n = 4096;
+  numeric.mode = ExecutionMode::Numeric;
+  numeric.variability.enabled = true;
+  numeric.variability.drift = 0.02;
+  numeric.variability.transfer_jitter = 0.1;
+  RunConfig faulty;
+  faulty.n = 4096;
+  faulty.strategy = "sr";
+  faulty.faults.enabled = true;
+  RunConfig rack;
+  rack.n = 4096;
+  rack.strategy = "original";
+  rack.devices = 8;
+  rack.cluster = "rack_8x8";
+  // fingerprint()'s rules: original/r2h/sr ignore the BSR-only knobs, and
+  // fc_desired too unless the run is on a cluster; recover_uncorrectable
+  // only matters in numeric runs; a cluster run ignores `platform` and a
+  // single-node run the cluster layout; a disabled block collapses.
+  const std::vector<std::string> layout = {"cluster", "grid_p", "grid_q",
+                                           "collective", "rebalance"};
+  const std::vector<std::string> bsr_knobs = {
+      "reclamation_ratio", "bsr_use_optimized_guardband",
+      "bsr_allow_overclocking", "bsr_use_enhanced_predictor"};
+  const auto join = [](std::vector<std::string> a,
+                       const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  return {
+      {"numeric BSR, variability on", numeric, join({"faults.*"}, layout),
+       {"faults.enabled", "devices"}},
+      {"timing-only SR, faults on", faulty,
+       join(join({"fc_desired", "recover_uncorrectable", "variability.*"},
+                 bsr_knobs),
+            layout),
+       {"mode"}},
+      {"Original on 8 rack_8x8 devices", rack,
+       join({"recover_uncorrectable", "platform", "variability.*", "faults.*"},
+            bsr_knobs),
+       {"mode"}},
+  };
+}
+
+/// Replacement values (JSON tokens) for every key serialize_config writes
+/// that is not a bool; bools are negated. A key takes its first value
+/// unequal to the base's.
+const std::map<std::string, std::vector<std::string>> kReplacements = {
+    {"factorization", {R"("QR")"}},
+    {"n", {"2048"}},
+    {"b", {"256"}},
+    {"elem_bytes", {"4"}},
+    {"strategy", {R"("r2h")"}},
+    {"reclamation_ratio", {"0.5"}},
+    {"fc_desired", {"0.99"}},
+    {"abft_policy", {R"("full")"}},
+    {"mode", {R"("Numeric")", R"("TimingOnly")"}},
+    {"seed", {R"("7")"}},
+    {"error_rate_multiplier", {"2"}},
+    {"platform", {R"("test_small")"}},
+    {"variability.drift", {"0.05"}},
+    {"variability.drift_cap", {"0.2"}},
+    {"variability.transfer_jitter", {"0.3"}},
+    {"variability.dvfs_jitter", {"0.3"}},
+    {"variability.freq_quantum_mhz", {"100"}},
+    {"variability.boost_budget_s", {"2"}},
+    {"variability.boost_recovery", {"0.25"}},
+    {"variability.seed", {R"("7")"}},
+    {"faults.process", {R"("Fixed")"}},
+    {"faults.rate_multiplier", {"3"}},
+    {"faults.background_rate_per_s", {"0.5"}},
+    {"faults.burst_mean", {"2"}},
+    {"faults.hazard_sigma", {"0.3"}},
+    {"faults.fixed_d0", {"3"}},
+    {"faults.fixed_d1", {"1"}},
+    {"faults.fixed_d2", {"1"}},
+    {"faults.correction_s", {"0.001"}},
+    {"faults.seed", {R"("7")"}},
+    {"devices", {"4"}},
+    {"cluster", {R"("rack_4x8")"}},
+    {"grid_p", {"8"}},
+    {"grid_q", {"8"}},
+    {"collective", {R"("ring")"}},
+};
+
+/// validate() couples the grid factors, so each moves with its partner at 1.
+const std::map<std::string, std::string> kGridPartner = {
+    {"grid_p", "grid_q"}, {"grid_q", "grid_p"}};
+
+/// Every key of `doc`, nested keys dotted ("variability.drift").
+std::vector<std::string> dotted_keys(const JsonValue& doc,
+                                     const std::string& prefix = "") {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) {
+    if (!value.is_object()) {
+      keys.push_back(prefix + key);
+      continue;
+    }
+    for (std::string& k : dotted_keys(value, prefix + key + ".")) {
+      keys.push_back(std::move(k));
+    }
+  }
+  return keys;
+}
+
+/// The value at dotted `path` in `doc`.
+const JsonValue& value_at(const JsonValue& doc, const std::string& path) {
+  const std::size_t dot = path.find('.');
+  if (dot == std::string::npos) return doc.at(path);
+  return value_at(doc.at(path.substr(0, dot)), path.substr(dot + 1));
+}
+
+/// `doc` with the value at dotted `path` replaced by `value`.
+JsonValue with(const JsonValue& doc, const std::string& path,
+               const JsonValue& value) {
+  const std::size_t dot = path.find('.');
+  std::vector<std::pair<std::string, JsonValue>> members = doc.members();
+  for (auto& [key, v] : members) {
+    if (key != path.substr(0, dot)) continue;
+    v = dot == std::string::npos ? value
+                                 : with(v, path.substr(dot + 1), value);
+  }
+  return JsonValue::make_object(std::move(members));
+}
+
+bool listed(const std::vector<std::string>& keys, const std::string& key) {
+  return std::any_of(keys.begin(), keys.end(), [&key](const std::string& k) {
+    if (!k.ends_with(".*")) return k == key;
+    return key.starts_with(k.substr(0, k.size() - 1)) &&
+           !key.ends_with(".enabled");
+  });
+}
+
+TEST(ConfigJson, EverySerializedFieldReachesTheFingerprint) {
+  std::set<std::string> keys;
+  std::set<std::string> reached;
+  for (const FingerprintBase& base : fingerprint_bases()) {
+    ASSERT_NO_THROW(base.config.validate()) << base.name;
+    const std::string fp = base.config.fingerprint();
+    const JsonValue doc = JsonValue::parse(serialize_config(base.config));
+    for (const std::string& key : dotted_keys(doc)) {
+      SCOPED_TRACE(std::string(base.name) + ": " + key);
+      keys.insert(key);
+      const JsonValue& old = value_at(doc, key);
+      JsonValue mutated;
+      if (old.is_bool()) {
+        mutated = with(doc, key, JsonValue::make_bool(!old.as_bool()));
+      } else {
+        const auto it = kReplacements.find(key);
+        ASSERT_NE(it, kReplacements.end()) << "no replacement for this key";
+        const auto token = std::find_if(
+            it->second.begin(), it->second.end(),
+            [&old](const std::string& t) { return t != old.dump(); });
+        ASSERT_NE(token, it->second.end()) << "every replacement equals it";
+        mutated = with(doc, key, JsonValue::parse(*token));
+        if (const auto p = kGridPartner.find(key); p != kGridPartner.end()) {
+          mutated = with(mutated, p->second, JsonValue::parse("1"));
+        }
+      }
+      const RunConfig cfg = config_from_json(mutated);
+      if (listed(base.invalid, key)) {
+        EXPECT_THROW(cfg.validate(), std::invalid_argument);
+        continue;
+      }
+      ASSERT_NO_THROW(cfg.validate());
+      if (listed(base.normalized_out, key)) {
+        EXPECT_EQ(cfg.fingerprint(), fp) << "no longer normalized out";
+      } else {
+        EXPECT_NE(cfg.fingerprint(), fp) << "missing from the fingerprint";
+        reached.insert(key);
+      }
+    }
+  }
+  EXPECT_EQ(reached, keys) << "some keys reach no base's fingerprint";
+  for (const auto& entry : kReplacements) {
+    EXPECT_TRUE(keys.contains(entry.first)) << "stale key " << entry.first;
+  }
 }
 
 TEST(ConfigJson, UnknownKeysThrowInsteadOfRunningTheWrongExperiment) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "hw/platform.hpp"
@@ -43,6 +44,18 @@ TEST(Validate, RejectsOutOfRangeFields) {
   expect_reject([](Spec& s) { s.boost_recovery = 0.0; }, "zero recovery");
   const auto nan = std::nan("");
   expect_reject([nan](Spec& s) { s.drift = nan; }, "NaN drift");
+  // +inf meets every lower bound, but no model is defined there.
+  const auto inf = std::numeric_limits<double>::infinity();
+  expect_reject([inf](Spec& s) { s.drift = inf; }, "infinite drift");
+  expect_reject([inf](Spec& s) { s.drift_cap = inf; }, "infinite drift cap");
+  expect_reject([inf](Spec& s) { s.transfer_jitter = inf; },
+                "infinite transfer jitter");
+  expect_reject([inf](Spec& s) { s.dvfs_jitter = inf; },
+                "infinite dvfs jitter");
+  expect_reject([inf](Spec& s) { s.boost_budget_s = inf; },
+                "infinite budget");
+  expect_reject([inf](Spec& s) { s.boost_recovery = inf; },
+                "infinite recovery");
 }
 
 // ---- fingerprint fragment ---------------------------------------------------
