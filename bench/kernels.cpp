@@ -280,7 +280,7 @@ void BM_StoreHit(benchmark::State& state) {
   serve::DiskResultStore store(dir.string());
   const RunConfig cfg = grid_cell();
   const std::string fp = cfg.fingerprint();
-  store.save(fp, run(cfg));
+  store.save_serialized(fp, serve::serialize_report(run(cfg)));
   std::int64_t bytes = 0;
   for (auto _ : state) {
     const std::optional<serve::StoredRecord> record = store.load_record(fp);

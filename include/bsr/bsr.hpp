@@ -50,7 +50,6 @@
 #include "common/table_printer.hpp"
 #include "core/decomposer.hpp"
 #include "core/report.hpp"
-#include "core/trace_io.hpp"
 #include "energy/pareto.hpp"
 #include "hw/platform.hpp"
 

@@ -164,9 +164,6 @@ bool handled_list_flag(const Cli& cli);
 
 /// Resolves `key` through bsr::platforms() and builds the profile.
 hw::PlatformProfile make_platform(const std::string& key);
-/// Resolves cfg.strategy through bsr::strategies() and builds the strategy.
-std::unique_ptr<energy::Strategy> make_strategy(
-    const RunConfig& cfg, const predict::WorkloadModel& wl);
 /// Resolves `key` through bsr::result_sinks() and builds a sink on `out`.
 std::unique_ptr<ResultSink> make_result_sink(const std::string& key,
                                              std::ostream& out);

@@ -6,16 +6,12 @@
 // every RunConfig has an exact fingerprint (RunConfig::fingerprint()), so a
 // result computed once — by anyone, in any process, at any time — answers
 // every later request for the same configuration byte-for-byte. This header
-// packages that as three composable layers:
+// packages that as composable layers:
 //
 //   bsr::serve::DiskResultStore store("/var/tmp/bsr-store");
 //   cfg.validate();
-//   auto cached = store.load(cfg.fingerprint());   // cross-process, durable
-//
-//   bsr::Sweep sweep;                               // or mount it in a sweep:
-//   sweep.store(std::make_shared<bsr::serve::DiskResultStore>(dir));
-//   auto result = sweep.over(bsr::n_axis({2048, 4096})).run();
-//   sweep.counters().store_hits;                    // served without running
+//   auto record = store.load_record(cfg.fingerprint());  // cross-process
+//   // on a hit: record->report, and record->json, the report's stored text
 //
 //   bsr::serve::ServerConfig scfg;                  // or serve it:
 //   scfg.socket_path = "/tmp/bsr.sock";

@@ -74,37 +74,6 @@ Axis precision_axis(const std::vector<int>& elem_bytes);
 /// seed = derive_cell_seed(root_seed, t) (per-cell, thread-count independent).
 Axis trial_axis(int trials, std::uint64_t root_seed);
 
-/// A second cache tier behind Sweep's in-memory fingerprint map: a durable
-/// fingerprint -> RunReport store. The serving subsystem's on-disk store
-/// (bsr/serve.hpp, serve::DiskResultStore) implements this so a daemon —
-/// or a bench re-run in a fresh process — can mount results computed by an
-/// earlier process; tests mount in-memory fakes. Implementations must treat
-/// corrupt or schema-incompatible records as loud misses (warn on stderr,
-/// return nullptr), never as errors that abort the sweep.
-class ResultStore {
- public:
-  virtual ~ResultStore() = default;
-  /// The report stored under `fingerprint`, or nullptr on a miss.
-  [[nodiscard]] virtual std::shared_ptr<const RunReport> load(
-      const std::string& fingerprint) = 0;
-  /// Persists `report` under `fingerprint`, overwriting any existing record.
-  virtual void save(const std::string& fingerprint,
-                    const RunReport& report) = 0;
-};
-
-/// Cumulative cache-effectiveness counters for one Sweep, accumulated across
-/// run() calls. Every requested cell or baseline resolves to exactly one of
-/// the four outcomes, so requested == memory_hits + coalesced + store_hits +
-/// executed always holds. The serve daemon's `stats` response and
-/// bench_serve report these directly.
-struct SweepCounters {
-  std::uint64_t requested = 0;    ///< cells + baselines, with multiplicity
-  std::uint64_t memory_hits = 0;  ///< served from the in-memory cache
-  std::uint64_t coalesced = 0;    ///< deduplicated within a single run() grid
-  std::uint64_t store_hits = 0;   ///< served from the mounted ResultStore
-  std::uint64_t executed = 0;     ///< actually executed
-};
-
 /// One grid cell after execution. `report` is shared with every other row
 /// that requested the same fingerprint; `baseline` is null unless
 /// Sweep::baseline() was set.
@@ -131,7 +100,6 @@ class SweepResult {
   std::size_t requested_runs = 0;  ///< cells + baselines, with multiplicity
   std::size_t unique_runs = 0;     ///< configs actually executed this run()
   std::size_t cache_hits = 0;      ///< requested_runs - unique_runs
-  std::size_t store_hits = 0;      ///< of cache_hits: from the ResultStore
   double wall_seconds = 0.0;       ///< wall-clock time of this run() call
 
   /// Executed (unique) cells per wall-clock second of this run() — the sweep
@@ -169,10 +137,6 @@ class Sweep {
   /// 1 = serial on the calling thread; 0 (default) = the process-wide
   /// ThreadPool::shared(); k > 1 = a dedicated pool of k workers.
   Sweep& threads(int n);
-  /// Mounts a durable second cache tier: run() consults it on in-memory
-  /// misses (a hit is promoted into the memory cache) and writes every
-  /// newly executed report back through it. nullptr unmounts. Chainable.
-  Sweep& store(std::shared_ptr<ResultStore> store);
 
   /// Expands the grid, validates every cell, executes all configurations not
   /// already cached, and returns rows in expansion order. Worker exceptions
@@ -182,11 +146,6 @@ class Sweep {
 
   /// Number of distinct fingerprints in the persistent result cache.
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  /// Cache-effectiveness counters accumulated across run() calls.
-  [[nodiscard]] const SweepCounters& counters() const { return counters_; }
-  /// Drops every cached result (subsequent run() calls re-execute). The
-  /// mounted ResultStore and the counters are untouched.
-  Sweep& clear_cache();
 
  private:
   RunConfig base_;
@@ -194,8 +153,6 @@ class Sweep {
   std::optional<std::string> baseline_strategy_;
   int threads_ = 0;
   std::map<std::string, std::shared_ptr<const RunReport>> cache_;
-  std::shared_ptr<ResultStore> store_;
-  SweepCounters counters_;
 };
 
 /// One output column: name + extractor over a finished row.

@@ -114,19 +114,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *e.histogram;
 }
 
-void MetricsRegistry::register_probe(const std::string& name,
-                                     const std::string& help,
-                                     const std::string& kind,
-                                     std::function<double()> sample) {
-  if (kind != "counter" && kind != "gauge")
-    throw std::logic_error("MetricsRegistry: probe kind must be counter|gauge");
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& e = find_or_create(name, Kind::kProbe, help);
-  e.help = help;
-  e.probe_kind = kind;
-  e.sample = std::move(sample);
-}
-
 std::string MetricsRegistry::exposition() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
@@ -140,11 +127,6 @@ std::string MetricsRegistry::exposition() const {
       case Kind::kGauge:
         out += "# TYPE " + e->name + " gauge\n";
         out += e->name + " " + format_value(e->gauge->value()) + "\n";
-        break;
-      case Kind::kProbe:
-        out += "# TYPE " + e->name + " " + e->probe_kind + "\n";
-        out += e->name + " " + format_value(e->sample ? e->sample() : 0.0) +
-               "\n";
         break;
       case Kind::kHistogram: {
         const Histogram& h = *e->histogram;

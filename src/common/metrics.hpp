@@ -21,15 +21,10 @@
 //     values format through the same shortest-round-trip double writer as
 //     the JSON layer, so two snapshots of identical state are byte-identical
 //     (tests diff them directly).
-//
-// Probes cover stats that already live elsewhere (an existing struct behind
-// a mutex, a container size): `register_probe` takes a callable sampled at
-// exposition time instead of forcing the owner to maintain a shadow copy.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,14 +100,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, const std::string& help,
                        std::vector<double> upper_bounds);
 
-  /// Register a metric whose value lives elsewhere (a struct behind the
-  /// owner's mutex, a container size). `sample` is called at exposition
-  /// time; `kind` must be "counter" or "gauge" and only affects the TYPE
-  /// annotation. Re-registering a name replaces the previous probe (owners
-  /// with shorter lifetimes than the registry re-register on construction).
-  void register_probe(const std::string& name, const std::string& help,
-                      const std::string& kind, std::function<double()> sample);
-
   /// Render every registered metric as Prometheus text exposition format
   /// (`# HELP` / `# TYPE` comments, `_bucket`/`_sum`/`_count` histogram
   /// series), in registration order.
@@ -123,16 +110,14 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kProbe };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
     std::string name;
     std::string help;
     Kind kind = Kind::kCounter;
-    std::string probe_kind;  // "counter" | "gauge", Kind::kProbe only
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<double()> sample;
   };
 
   Entry& find_or_create(const std::string& name, Kind kind,

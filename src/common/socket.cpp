@@ -160,12 +160,19 @@ Socket accept_one(const Socket& listener) {
 
 std::optional<std::string> LineReader::read_line() {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', searched_);
+    const std::size_t length = nl == std::string::npos ? buffer_.size() : nl;
+    if (max_line_ != 0 && length > max_line_) {
+      throw std::length_error("line exceeds " + std::to_string(max_line_) +
+                              " bytes");
+    }
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      searched_ = 0;
       return line;
     }
+    searched_ = buffer_.size();
     if (eof_) return std::nullopt;
 
     char chunk[4096];

@@ -71,15 +71,22 @@ Socket accept_one(const Socket& listener);
 /// connected socket (the newline is stripped). Returns std::nullopt at EOF;
 /// throws on read errors. Bytes after the last newline are discarded at EOF
 /// — the protocol requires every request/response line to be terminated.
+/// With a nonzero `max_line`, a line longer than that many bytes throws
+/// std::length_error (naming the limit) as soon as more than that many of
+/// its bytes have arrived, so the reader buffers at most `max_line` bytes
+/// plus one recv.
 class LineReader {
  public:
-  explicit LineReader(const Socket& socket) : fd_(socket.fd()) {}
+  explicit LineReader(const Socket& socket, std::size_t max_line = 0)
+      : fd_(socket.fd()), max_line_(max_line) {}
 
   std::optional<std::string> read_line();
 
  private:
   int fd_ = -1;
+  std::size_t max_line_ = 0;  ///< 0 = unbounded
   std::string buffer_;
+  std::size_t searched_ = 0;  ///< buffer_ prefix already searched for '\n'
   bool eof_ = false;
 };
 

@@ -134,11 +134,6 @@ hw::PlatformProfile make_platform(const std::string& key) {
   return platforms().get(key)();
 }
 
-std::unique_ptr<energy::Strategy> make_strategy(
-    const RunConfig& cfg, const predict::WorkloadModel& wl) {
-  return strategies().get(cfg.strategy).make(cfg, wl);
-}
-
 std::unique_ptr<ResultSink> make_result_sink(const std::string& key,
                                              std::ostream& out) {
   return result_sinks().get(key)(out);

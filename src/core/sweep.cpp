@@ -174,16 +174,6 @@ Sweep& Sweep::threads(int n) {
   return *this;
 }
 
-Sweep& Sweep::store(std::shared_ptr<ResultStore> store) {
-  store_ = std::move(store);
-  return *this;
-}
-
-Sweep& Sweep::clear_cache() {
-  cache_.clear();
-  return *this;
-}
-
 namespace {
 
 /// The baseline for a cell: same configuration, baseline strategy substituted
@@ -257,28 +247,11 @@ SweepResult Sweep::run() {
   std::map<std::string, std::size_t> job_index;  // fingerprint -> jobs slot
   const auto request = [&](const RunConfig& cfg) -> std::string {
     ++result.requested_runs;
-    ++counters_.requested;
     std::string fp = cfg.fingerprint();
-    if (cache_.count(fp) != 0) {
-      ++counters_.memory_hits;
-      return fp;
+    if (cache_.count(fp) == 0 &&
+        job_index.try_emplace(fp, jobs.size()).second) {
+      jobs.push_back(Job{cfg, nullptr, nullptr});
     }
-    if (job_index.count(fp) != 0) {
-      ++counters_.coalesced;
-      return fp;
-    }
-    // Memory miss: consult the durable tier before scheduling an execution.
-    // A store hit is promoted into the memory cache so repeats stay cheap.
-    if (store_ != nullptr) {
-      if (std::shared_ptr<const RunReport> stored = store_->load(fp)) {
-        cache_.emplace(fp, std::move(stored));
-        ++counters_.store_hits;
-        ++result.store_hits;
-        return fp;
-      }
-    }
-    job_index.emplace(fp, jobs.size());
-    jobs.push_back(Job{cfg, nullptr, nullptr});
     return fp;
   };
   std::vector<std::string> cell_fp;
@@ -329,11 +302,9 @@ SweepResult Sweep::run() {
     if (job.error) std::rethrow_exception(job.error);
   }
 
-  // 5. Publish to the persistent cache (and through the durable tier, when
-  // mounted) and assemble rows in expansion order.
+  // 5. Publish to the persistent cache and assemble rows in expansion order.
   result.unique_runs = jobs.size();
   result.cache_hits = result.requested_runs - result.unique_runs;
-  counters_.executed += jobs.size();
   {
     // Mirror the grid's cache accounting into the process-wide metrics
     // registry (bsr/observability.hpp) so long-lived hosts (the serve
@@ -351,7 +322,6 @@ SweepResult Sweep::run() {
     hits.inc(result.cache_hits);
   }
   for (auto& [fp, slot] : job_index) {
-    if (store_ != nullptr) store_->save(fp, *jobs[slot].report);
     cache_.emplace(fp, std::move(jobs[slot].report));
   }
   for (std::size_t i = 0; i < result.rows.size(); ++i) {

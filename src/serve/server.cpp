@@ -19,6 +19,11 @@ namespace bsr::serve {
 
 namespace {
 
+/// The longest request line the daemon buffers. The largest request the
+/// repo's clients send (a 64-device rack config with variability and faults)
+/// is under 1 KB; a longer line is refused and its connection closed.
+constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 /// Builds the cached-result record for a freshly available report.
 CachedResult make_cached(const core::RunReport& report, std::string json) {
   CachedResult e;
@@ -220,10 +225,23 @@ void Server::worker_loop() {
 
 void Server::serve_connection(Socket conn) {
   try {
-    LineReader reader(conn);
+    LineReader reader(conn, kMaxRequestBytes);
     while (std::optional<std::string> line = reader.read_line()) {
       if (line->empty()) continue;
       if (!handle_line(*line, conn)) break;
+    }
+  } catch (const std::length_error& e) {
+    // An oversized request line: one refusal, then the connection closes
+    // with the rest of the line unread.
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.bad_requests;
+    }
+    metrics_.bad_requests.inc();
+    try {
+      conn.send_all(error_response(e.what(), /*retry=*/false) + "\n");
+    } catch (const std::exception&) {
+      // Peer vanished before reading the refusal; nothing to do.
     }
   } catch (const std::exception& e) {
     // A read/write error mid-connection only kills this connection.
@@ -510,9 +528,7 @@ std::string Server::handle_stats() {
 }
 
 std::string Server::handle_metrics() {
-  // Point-in-time values are refreshed at sampling time — gauges set here,
-  // not callbacks registered at construction, so a destroyed Server never
-  // leaves a dangling probe behind in the process-wide registry.
+  // Point-in-time values are gauges refreshed here, at sampling time.
   auto& reg = common::MetricsRegistry::global();
   reg.gauge("bsr_build_info",
             "constant 1; the build stamp is this help line: " +

@@ -124,14 +124,6 @@ std::optional<StoredRecord> DiskResultStore::load_record(
   }
 }
 
-std::shared_ptr<const core::RunReport> DiskResultStore::load(
-    const std::string& fingerprint) {
-  std::optional<StoredRecord> record = load_record(fingerprint);
-  return record ? std::make_shared<const core::RunReport>(
-                      std::move(record->report))
-                : nullptr;
-}
-
 std::shared_ptr<const std::string> DiskResultStore::load_serialized(
     const std::string& fingerprint) {
   std::optional<StoredRecord> record = load_record(fingerprint);
@@ -167,11 +159,6 @@ void DiskResultStore::save_serialized(const std::string& fingerprint,
                              std::strerror(errno));
   }
   ++stats_.saves;
-}
-
-void DiskResultStore::save(const std::string& fingerprint,
-                           const core::RunReport& report) {
-  save_serialized(fingerprint, serialize_report(report));
 }
 
 StoreStats DiskResultStore::stats() const {

@@ -1,5 +1,5 @@
 // DiskResultStore — the durable fingerprint -> RunReport tier of the serving
-// subsystem, and the bsr::ResultStore implementation bsr::Sweep can mount.
+// subsystem.
 //
 // Layout: one record file per fingerprint inside the store directory,
 //
@@ -23,7 +23,7 @@
 #include <optional>
 #include <string>
 
-#include "bsr/sweep.hpp"
+#include "core/report.hpp"
 
 namespace bsr::serve {
 
@@ -48,7 +48,7 @@ struct StoredRecord {
 /// The on-disk store (see file comment). Thread-safe: saves serialize on an
 /// internal mutex, loads read and parse outside it and take it only to
 /// count.
-class DiskResultStore final : public ResultStore {
+class DiskResultStore {
  public:
   /// Records are written under `dir`, created (one level) if absent. Throws
   /// std::runtime_error when the directory cannot be created.
@@ -63,21 +63,14 @@ class DiskResultStore final : public ResultStore {
   [[nodiscard]] std::optional<StoredRecord> load_record(
       const std::string& fingerprint);
 
-  /// load_record()'s report; nullptr on miss or loud reject.
-  [[nodiscard]] std::shared_ptr<const core::RunReport> load(
-      const std::string& fingerprint) override;
-
   /// load_record()'s report text; nullptr on miss or loud reject. It pays
   /// for the deserialization too, so the daemon calls load_record() and
   /// keeps both halves.
   [[nodiscard]] std::shared_ptr<const std::string> load_serialized(
       const std::string& fingerprint);
 
-  /// Writes (or atomically overwrites) the record for `fingerprint`.
-  void save(const std::string& fingerprint,
-            const core::RunReport& report) override;
-
-  /// save() taking the report already serialized (the daemon has it in hand).
+  /// Writes (or atomically overwrites) the record for `fingerprint`, its
+  /// report given already serialized (serve::serialize_report).
   void save_serialized(const std::string& fingerprint,
                        const std::string& report_json);
 

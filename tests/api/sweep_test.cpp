@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 #include <memory>
 
 #include "bsr/registry.hpp"
@@ -282,108 +281,6 @@ TEST(Sweep, TrialAxisSeedsAreIndexDerived) {
   for (std::size_t t = 0; t < 3; ++t) {
     EXPECT_EQ(grid.rows[t].config.seed, derive_cell_seed(1000, t));
   }
-}
-
-/// In-memory ResultStore double: counts loads/saves and can be pre-warmed,
-/// standing in for serve::DiskResultStore without touching the filesystem.
-class FakeStore final : public ResultStore {
- public:
-  std::shared_ptr<const RunReport> load(
-      const std::string& fingerprint) override {
-    ++loads;
-    const auto it = records.find(fingerprint);
-    return it == records.end() ? nullptr : it->second;
-  }
-  void save(const std::string& fingerprint, const RunReport& report) override {
-    ++saves;
-    records[fingerprint] = std::make_shared<const RunReport>(report);
-  }
-
-  std::map<std::string, std::shared_ptr<const RunReport>> records;
-  int loads = 0;
-  int saves = 0;
-};
-
-TEST(SweepCountersTest, InvariantAndExecutedOnColdRun) {
-  Sweep sweep(small_base());
-  const SweepResult grid = sweep.over(strategy_axis({"original", "bsr"}))
-                               .threads(1)
-                               .run();
-  ASSERT_EQ(grid.rows.size(), 2u);
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 2u);
-  EXPECT_EQ(c.executed, 2u);
-  EXPECT_EQ(c.memory_hits, 0u);
-  EXPECT_EQ(c.store_hits, 0u);
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
-}
-
-TEST(SweepCountersTest, RepeatRunsHitTheMemoryCache) {
-  Sweep sweep(small_base());
-  sweep.over(ratio_axis({0.0, 0.25})).threads(1);
-  (void)sweep.run();
-  (void)sweep.run();
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 4u);
-  EXPECT_EQ(c.executed, 2u);
-  EXPECT_EQ(c.memory_hits, 2u);
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
-}
-
-TEST(SweepCountersTest, DedupedCellsCountAsCoalesced) {
-  // Non-BSR strategies normalize r out of the fingerprint, so the original
-  // rows across the ratio axis coalesce onto one job within the run.
-  Sweep sweep(small_base());
-  (void)sweep.over(strategy_axis({"original"}))
-      .over(ratio_axis({0.0, 0.25}))
-      .threads(1)
-      .run();
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested, 2u);
-  EXPECT_EQ(c.executed, 1u);
-  EXPECT_EQ(c.coalesced, 1u);
-}
-
-TEST(SweepStoreTest, ExecutedRunsAreSavedAndServedBackAfterClearCache) {
-  auto store = std::make_shared<FakeStore>();
-  Sweep sweep(small_base());
-  sweep.store(store).over(strategy_axis({"original", "bsr"})).threads(1);
-
-  const SweepResult cold = sweep.run();
-  EXPECT_EQ(store->saves, 2);
-  EXPECT_EQ(sweep.counters().executed, 2u);
-  EXPECT_EQ(cold.store_hits, 0u);
-
-  sweep.clear_cache();  // drops the memory tier, NOT the store
-  const SweepResult warm = sweep.run();
-  EXPECT_EQ(warm.store_hits, 2u);
-  EXPECT_EQ(sweep.counters().store_hits, 2u);
-  EXPECT_EQ(sweep.counters().executed, 2u);  // nothing re-executed
-  EXPECT_EQ(store->saves, 2);
-
-  ASSERT_EQ(cold.rows.size(), warm.rows.size());
-  for (std::size_t i = 0; i < cold.rows.size(); ++i) {
-    expect_identical_reports(*cold.rows[i].report, *warm.rows[i].report);
-  }
-  const SweepCounters& c = sweep.counters();
-  EXPECT_EQ(c.requested,
-            c.memory_hits + c.coalesced + c.store_hits + c.executed);
-}
-
-TEST(SweepStoreTest, PreWarmedStoreAvoidsAllExecution) {
-  auto store = std::make_shared<FakeStore>();
-  {
-    Sweep producer(small_base());
-    (void)producer.store(store).over(ratio_axis({0.0, 0.1})).threads(1).run();
-  }
-  Sweep consumer(small_base());
-  const SweepResult grid =
-      consumer.store(store).over(ratio_axis({0.0, 0.1})).threads(1).run();
-  ASSERT_EQ(grid.rows.size(), 2u);
-  EXPECT_EQ(consumer.counters().executed, 0u);
-  EXPECT_EQ(consumer.counters().store_hits, 2u);
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 // ABFT coverage accounting per device, and RunConfig dispatch/validation.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <ostream>
+#include <string>
+#include <tuple>
+
 #include "bsr/bsr.hpp"
 #include "cluster/engine.hpp"
 #include "energy/baselines.hpp"
@@ -37,42 +42,114 @@ TEST(ClusterEngine, RejectsAGridWhoseIntProductWrapsToTheDeviceCount) {
       (void)cluster::run_cluster(profile, workload(4096, 256), o));
 }
 
-TEST(ClusterEngine, RunsAllStrategiesWithConsistentAccounting) {
-  const cluster::ClusterProfile profile =
-      cluster::ClusterProfile::paper_scaleout(3);
-  const predict::WorkloadModel wl = workload(4096, 256);
-  for (const auto s :
-       {cluster::ClusterStrategy::Original, cluster::ClusterStrategy::R2H,
-        cluster::ClusterStrategy::SR, cluster::ClusterStrategy::BSR}) {
-    const cluster::ClusterReport r =
-        cluster::run_cluster(profile, wl, options(s));
-    EXPECT_GT(r.makespan, SimTime::zero());
-    EXPECT_GT(r.total_energy_j(), 0.0);
-    ASSERT_EQ(r.devices.size(), 3u);
-    // Every lane's busy + idle + dvfs time accounts for the full makespan.
-    const auto check_lane = [&](const cluster::DeviceUsage& d) {
-      EXPECT_NEAR(d.busy_s + d.idle_s + d.dvfs_s, r.makespan.seconds(), 1e-6)
+/// One cluster layout of the accounting matrix below.
+struct Layout {
+  const char* name;  ///< test-name fragment
+  const char* cluster;
+  int devices;
+  const char* collective;
+  int grid_p;
+  int grid_q;
+  bool rebalance;
+  /// Panels k >= 1 are factored on their owner device (a rack broadcasting
+  /// by ring or tree); otherwise the host factors every panel.
+  bool device_panels;
+};
+
+constexpr Layout kLayouts[] = {
+    {"PaperCluster3", "paper_cluster", 3, "auto", 0, 0, false, false},
+    {"NvlinkPairs4", "nvlink_pairs", 4, "auto", 0, 0, false, false},
+    {"Rack4x8Auto16", "rack_4x8", 16, "auto", 0, 0, false, true},
+    {"Rack8x8Ring4x2", "rack_8x8", 8, "ring", 4, 2, false, true},
+    {"Rack8x8Relay8", "rack_8x8", 8, "relay", 0, 0, false, false},
+    {"Rack8x8TreeRebalance16", "rack_8x8", 16, "tree", 0, 0, true, true},
+};
+
+/// Test names and CTest print a layout by its name, not its pointer bytes.
+void PrintTo(const Layout& layout, std::ostream* os) { *os << layout.name; }
+
+/// factorization x layout x hostile world (variability and faults on).
+using AccountingCase = std::tuple<Factorization, Layout, bool>;
+
+class ClusterAccounting : public ::testing::TestWithParam<AccountingCase> {};
+
+TEST_P(ClusterAccounting, EveryStrategyConservesLaneTimeEnergyFlopsAndFaults) {
+  const auto& [fact, layout, hostile] = GetParam();
+  RunConfig cfg;
+  cfg.factorization = fact;
+  cfg.n = 4096;
+  cfg.b = 256;
+  cfg.cluster = layout.cluster;
+  cfg.devices = layout.devices;
+  cfg.collective = layout.collective;
+  cfg.grid_p = layout.grid_p;
+  cfg.grid_q = layout.grid_q;
+  cfg.rebalance = layout.rebalance;
+  if (hostile) {
+    cfg.variability = make_variability("hostile");
+    cfg.faults = make_faults("hostile");
+    // The preset's own 0.02/s injects nothing in runs this short.
+    cfg.faults.background_rate_per_s = 50.0;
+  }
+  const predict::WorkloadModel wl = cfg.workload();
+  double pd_flops = 0.0;
+  double gpu_flops = 0.0;
+  for (int k = 0; k < wl.num_iterations(); ++k) {
+    pd_flops += wl.iteration(k).pd_flops;
+    gpu_flops += wl.iteration(k).gpu_flops();
+  }
+  // A documented difference from the single-node pipeline (see
+  // docs/ARCHITECTURE.md): QR's last iteration charges a larft (pu_flops =
+  // b^3) to the GPU, but with no trailing block left no device holds a share
+  // of it, so the cluster lanes fall short by exactly that.
+  const double unrun_flops =
+      fact == Factorization::QR ? wl.iteration(wl.num_iterations() - 1).pu_flops
+                                : 0.0;
+  const double host_flops =
+      layout.device_panels ? wl.iteration(0).pd_flops : pd_flops;
+  for (const char* strategy : {"original", "r2h", "sr", "bsr"}) {
+    SCOPED_TRACE(strategy);
+    cfg.strategy = strategy;
+    const core::RunReport r = run(cfg);
+    const double makespan = r.seconds();
+    ASSERT_GT(makespan, 0.0);
+    ASSERT_EQ(r.device_usage.size(),
+              1u + static_cast<std::size_t>(layout.devices));
+    double lane_flops = 0.0;
+    double device_energy = 0.0;
+    for (std::size_t i = 0; i < r.device_usage.size(); ++i) {
+      const cluster::DeviceUsage& d = r.device_usage[i];
+      EXPECT_NEAR(d.busy_s + d.idle_s + d.dvfs_s, makespan, 1e-9 * makespan)
           << d.name;
       EXPECT_GT(d.energy_j, 0.0) << d.name;
-    };
-    check_lane(r.host);
-    for (const cluster::DeviceUsage& d : r.devices) check_lane(d);
-    // The devices share exactly the factorization's GPU flops; the host ran
-    // every panel.
-    double dev_flops = 0.0;
-    for (const cluster::DeviceUsage& d : r.devices) dev_flops += d.flops;
-    double expect_gpu = 0.0;
-    double expect_pd = 0.0;
-    for (int k = 0; k < wl.num_iterations(); ++k) {
-      expect_gpu += wl.iteration(k).gpu_flops();
-      expect_pd += wl.iteration(k).pd_flops;
+      EXPECT_LE(d.recovery_s, d.busy_s) << d.name;
+      EXPECT_EQ(d.faults_injected, d.faults_corrected + d.faults_recovered +
+                                       d.faults_unrecovered)
+          << d.name;
+      lane_flops += d.flops;
+      if (i > 0) device_energy += d.energy_j;
     }
-    if (s == cluster::ClusterStrategy::Original) {
-      EXPECT_NEAR(dev_flops, expect_gpu, 1e-3 * expect_gpu);
-      EXPECT_NEAR(r.host.flops, expect_pd, 1e-6 * expect_pd);
+    EXPECT_EQ(r.cpu_energy_j(), r.device_usage.front().energy_j);
+    EXPECT_EQ(r.gpu_energy_j(), device_energy);
+    EXPECT_NEAR(pd_flops + gpu_flops - lane_flops, unrun_flops,
+                1e-12 * (pd_flops + gpu_flops));
+    EXPECT_NEAR(r.device_usage.front().flops, host_flops, 1e-12 * pd_flops);
+    if (hostile) {
+      EXPECT_GE(r.faults_injected(), 1);
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FactorizationLayoutWorld, ClusterAccounting,
+    ::testing::Combine(::testing::Values(Factorization::Cholesky,
+                                         Factorization::LU, Factorization::QR),
+                       ::testing::ValuesIn(kLayouts), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<AccountingCase>& info) {
+      return std::string(predict::to_string(std::get<0>(info.param))) + "_" +
+             std::get<1>(info.param).name + "_" +
+             (std::get<2>(info.param) ? "Hostile" : "Deterministic");
+    });
 
 TEST(ClusterEngine, BitwiseDeterministic) {
   const cluster::ClusterProfile profile =

@@ -1,6 +1,6 @@
 // The unified metrics registry: instrument semantics (counter, gauge,
 // histogram bucketing), registration rules (get-or-create, kind collisions
-// throw), probes, and the deterministic Prometheus-style exposition.
+// throw), and the deterministic Prometheus-style exposition.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -105,22 +105,6 @@ TEST(Metrics, HistogramConcurrentObserveLosesNothing) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads * kEach));
   EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kThreads * kEach));
   EXPECT_EQ(h.bucket(1), static_cast<std::uint64_t>(kThreads * kEach));
-}
-
-TEST(Metrics, ProbesSampleAtExpositionTimeAndReplaceOnReRegister) {
-  MetricsRegistry reg;
-  double live = 1.0;
-  reg.register_probe("bsr_test_live", "sampled late", "gauge",
-                     [&live] { return live; });
-  live = 99.0;  // changed after registration, before exposition
-  EXPECT_NE(reg.exposition().find("bsr_test_live 99"), std::string::npos);
-
-  reg.register_probe("bsr_test_live", "replaced", "gauge", [] { return 5.0; });
-  EXPECT_NE(reg.exposition().find("bsr_test_live 5"), std::string::npos);
-  EXPECT_THROW(reg.register_probe("bsr_test_live", "", "neither", [] {
-    return 0.0;
-  }),
-               std::logic_error);
 }
 
 TEST(Metrics, ExpositionIsDeterministicAndPrometheusShaped) {

@@ -1,17 +1,22 @@
 // The bsr_served server loop end to end, over localhost TCP with an
 // injectable runner: cold/warm/restart byte-identity, deterministic
 // single-flight coalescing (N concurrent identical requests -> exactly one
-// execution), admission control, the sweep op, and graceful shutdown.
+// execution), admission control, the request-line bound, the sweep op, and
+// graceful shutdown.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -379,6 +384,49 @@ TEST(ServerTest, BadRequestsAnswerOkFalseAndKeepTheConnectionUsable) {
   EXPECT_TRUE(good.at("ok").as_bool());
   EXPECT_EQ(good.at("bad_requests").to_int64(), 6);
   EXPECT_EQ(ts.executions.load(), 0);
+  ts.server->stop();
+}
+
+TEST(ServerTest, OversizedRequestLineIsRefusedAndTheDaemonKeepsServing) {
+  TestServer ts;
+  {
+    Socket conn = connect_tcp_localhost(ts.server->port());
+    // A daemon that keeps buffering fails the read below instead of hanging.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    // 1 MiB + 4 KB and no newline: past the daemon's 1 MiB request bound.
+    try {
+      conn.send_all(std::string((std::size_t{1} << 20) + 4096, 'x'));
+    } catch (const std::runtime_error&) {
+      // The daemon may close before it has read the whole line.
+    }
+    LineReader reader(conn);
+    std::optional<std::string> reply;
+    try {
+      reply = reader.read_line();
+    } catch (const std::runtime_error& e) {
+      FAIL() << "no refusal: " << e.what();
+    }
+    ASSERT_TRUE(reply.has_value()) << "closed without a refusal";
+    const JsonValue refusal = JsonValue::parse(*reply);
+    EXPECT_FALSE(refusal.at("ok").as_bool());
+    EXPECT_FALSE(refusal.at("retry").as_bool());
+    EXPECT_NE(refusal.at("error").as_string().find("1048576"),
+              std::string::npos)
+        << *reply;
+    // Then the daemon closes: EOF, or a reset for the bytes it left unread.
+    try {
+      EXPECT_FALSE(reader.read_line().has_value());
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("reset"), std::string::npos)
+          << e.what();
+    }
+  }
+  Client c = ts.client();
+  EXPECT_TRUE(c.run(kSmallConfig).at("ok").as_bool());
+  EXPECT_EQ(c.stats().at("bad_requests").to_int64(), 1);
   ts.server->stop();
 }
 

@@ -43,18 +43,18 @@ TEST(DiskResultStore, MissThenSaveThenHit) {
   const RunConfig cfg = small_config();
   const std::string fp = cfg.fingerprint() + ":roundtrip";
 
-  EXPECT_EQ(store.load(fp), nullptr);
+  EXPECT_FALSE(store.load_record(fp).has_value());
   EXPECT_EQ(store.stats().misses, 1u);
 
   const core::RunReport report = bsr::run(cfg);
-  store.save(fp, report);
+  store.save_serialized(fp, serialize_report(report));
   EXPECT_EQ(store.stats().saves, 1u);
 
-  const std::shared_ptr<const core::RunReport> loaded = store.load(fp);
-  ASSERT_NE(loaded, nullptr);
+  const std::optional<StoredRecord> loaded = store.load_record(fp);
+  ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(store.stats().hits, 1u);
   EXPECT_EQ(store.stats().rejected, 0u);
-  EXPECT_EQ(serialize_report(*loaded), serialize_report(report));
+  EXPECT_EQ(serialize_report(loaded->report), serialize_report(report));
 }
 
 TEST(DiskResultStore, SerializedPathIsByteIdentical) {
@@ -97,7 +97,7 @@ TEST(DiskResultStore, CorruptRecordIsALoudMissNotACrash) {
   store.save_serialized(fp, serialize_report(bsr::run(small_config())));
 
   overwrite(store.record_path(fp), "{\"schema\":1,\"fingerpr");  // truncated
-  EXPECT_EQ(store.load(fp), nullptr);
+  EXPECT_FALSE(store.load_record(fp).has_value());
   EXPECT_EQ(store.load_serialized(fp), nullptr);
   EXPECT_EQ(store.stats().rejected, 2u);
   EXPECT_EQ(store.stats().hits, 0u);
@@ -142,10 +142,9 @@ TEST(DiskResultStore, DeserializationFailureInsideAValidEnvelopeRejects) {
                 "\",\"report\":{\"not_a_report\":true}}");
   // The envelope checks out but the report does not deserialize: every read
   // path rejects it loudly, counting one reject per read.
-  EXPECT_EQ(store.load(fp), nullptr);
   EXPECT_EQ(store.load_serialized(fp), nullptr);
   EXPECT_FALSE(store.load_record(fp).has_value());
-  EXPECT_EQ(store.stats().rejected, 3u);
+  EXPECT_EQ(store.stats().rejected, 2u);
   EXPECT_EQ(store.stats().hits, 0u);
 }
 

@@ -2,9 +2,10 @@
 # End-to-end smoke test of the serving subsystem (docs/SERVING.md): starts a
 # bsr_served daemon on a scratch Unix socket with a scratch durable store,
 # drives it with bsr_servectl, and asserts the request-path contract —
-# cold run "executed", repeat "memory", byte-identical reports, a clean
-# shutdown, and no leaked socket file. Exits 0 on success, non-zero with the
-# failing step on stderr otherwise.
+# cold run "executed", repeat "memory", byte-identical reports, an oversized
+# request line refused without harm, a clean shutdown, and no leaked socket
+# file. Exits 0 on success, non-zero with the failing step on stderr
+# otherwise.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
 set -u
@@ -68,6 +69,33 @@ echo "$STATS" | grep -q '"executed":1' || fail "expected executed:1: $STATS"
 echo "$STATS" | grep -q '"memory_hits":1' \
     || fail "expected memory_hits:1: $STATS"
 echo "$STATS" | grep -q '"saves":1' || fail "expected store saves:1: $STATS"
+
+# A request line over the daemon's 1 MiB bound (1 MiB + 1 bytes, no newline)
+# is refused with ok:false and counted as a bad request; the daemon serves on.
+OVERSIZED=$(python3 -c '
+import socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(10)
+s.connect(sys.argv[1])
+s.sendall(b"x" * ((1 << 20) + 1))
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = s.recv(4096)
+    if not chunk:
+        break
+    reply += chunk
+sys.stdout.write(reply.decode())
+' "$SOCKET") || fail "oversized request line got no reply"
+echo "$OVERSIZED" | grep -q '"ok":false' \
+    || fail "oversized request line not refused: $OVERSIZED"
+STATS=$("$SERVECTL" --socket "$SOCKET" --op stats) \
+    || fail "stats request failed"
+echo "$STATS" | grep -q '"bad_requests":1' \
+    || fail "expected bad_requests:1: $STATS"
+AFTER=$("$SERVECTL" --socket "$SOCKET" --op run --config "$CONFIG") \
+    || fail "run request after the oversized line failed"
+echo "$AFTER" | grep -q '"ok":true' \
+    || fail "run request after the oversized line failed: $AFTER"
 
 # Graceful shutdown: the daemon exits 0 and unlinks its socket.
 "$SERVECTL" --socket "$SOCKET" --op shutdown >/dev/null \
