@@ -247,6 +247,34 @@ void BM_FaultCampaign(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultCampaign);
 
+// Rack-scale campaign throughput on the hierarchical cluster path the two
+// counters above never reach: a 2-D process grid, the tree broadcast over
+// intra-node peer links and remote node buses, under hostile variability
+// and Poisson faults. Same fresh-object-per-iteration rule; one thread, so
+// the rate divides runs by the CPU time that simulated them.
+void BM_RackCampaign(benchmark::State& state) {
+  std::int64_t runs = 0;
+  for (auto _ : state) {
+    RunConfig base;
+    base.n = 4096;
+    base.cluster = "rack_8x8";
+    base.collective = "tree";
+    base.reclamation_ratio = 0.25;
+    base.variability = make_variability("hostile");
+    base.faults = make_faults("poisson");
+    FaultCampaign camp(base, /*trials=*/4);
+    camp.over(devices_axis({16, 64}))
+        .over(strategy_axis({"original", "bsr"}))
+        .threads(1);
+    const CampaignResult result = camp.run();
+    benchmark::DoNotOptimize(&result);
+    runs += result.unique_runs;
+  }
+  state.counters["runs/s"] = benchmark::Counter(
+      static_cast<double>(runs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RackCampaign);
+
 // The daemon's codec on a grid-size report: n = 15360 LU under BSR, about
 // 36 KB serialized. bytes/s counts report bytes produced.
 RunConfig grid_cell() {

@@ -149,8 +149,14 @@ struct RunConfig {
   /// The effective block size: b, or the auto-tuned size clamped to n.
   [[nodiscard]] std::int64_t block() const;
 
+  /// Most iterations, ceil(n / block()), one run may ask for.
+  static constexpr std::int64_t kMaxIterations = 4096;
+  /// Largest n a numeric run (which allocates the n x n matrix) may ask for.
+  static constexpr std::int64_t kMaxNumericN = 8192;
+
   /// Throws std::invalid_argument (message prefixed "RunConfig:") when any
   /// field is out of range or any registry key is unknown: n <= 0, b > n,
+  /// more than kMaxIterations iterations, a numeric n above kMaxNumericN,
   /// reclamation_ratio outside [0, 1], fc_desired outside (0, 1),
   /// elem_bytes not 4/8, a negative or non-finite error_rate_multiplier, or
   /// an unregistered strategy / abft_policy / platform name.

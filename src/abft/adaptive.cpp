@@ -4,41 +4,70 @@
 
 namespace bsr::abft {
 
-AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
-                     const hw::DeviceModel& gpu, double t_base_seconds,
-                     std::int64_t blocks) {
+namespace {
+
+/// Algorithm 1's ladder over `dom`, reading the optimized-guardband SDC
+/// rates of each candidate clock from `rates_at`.
+template <typename RatesAt>
+AbftDecision ladder(double fc_desired, hw::Mhz f_desired,
+                    const hw::FrequencyDomain& dom, const RatesAt& rates_at,
+                    double t_base_seconds, std::int64_t blocks) {
   AbftDecision d;
-  d.freq = gpu.freq.clamp(f_desired, /*optimized_guardband=*/true);
+  d.freq = dom.clamp(f_desired, /*optimized_guardband=*/true);
   for (;;) {
-    const hw::ErrorRates rates = gpu.errors.rates(d.freq, hw::Guardband::Optimized);
+    const hw::ErrorRates rates = rates_at(d.freq);
     if (rates.fault_free()) {
       d.mode = ChecksumMode::None;
       d.coverage = 1.0;
       return d;
     }
-    const double t_projected =
-        t_base_seconds * static_cast<double>(gpu.freq.base_mhz) /
-        static_cast<double>(d.freq);
-    const double single = fc_single(rates, t_projected, blocks);
+    const double t_projected = t_base_seconds *
+                               static_cast<double>(dom.base_mhz) /
+                               static_cast<double>(d.freq);
+    // One step's two coverages share their Poisson row and e^{-l2 T}.
+    StepCoverage step(rates, t_projected, blocks);
+    const double single = step.single();
     if (single >= fc_desired) {
       d.mode = ChecksumMode::SingleSide;
       d.coverage = single;
       return d;
     }
-    const double full = fc_full(rates, t_projected, blocks);
+    const double full = step.full();
     if (full >= fc_desired) {
       d.mode = ChecksumMode::Full;
       d.coverage = full;
       return d;
     }
-    if (d.freq - gpu.freq.step_mhz < gpu.freq.min_mhz) {
+    if (d.freq - dom.step_mhz < dom.min_mhz) {
       // Cannot go lower; settle for full checksums at the floor.
       d.mode = ChecksumMode::Full;
       d.coverage = full;
       return d;
     }
-    d.freq -= gpu.freq.step_mhz;
+    d.freq -= dom.step_mhz;
   }
+}
+
+}  // namespace
+
+AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
+                     const hw::DeviceModel& gpu, double t_base_seconds,
+                     std::int64_t blocks) {
+  return ladder(
+      fc_desired, f_desired, gpu.freq,
+      [&gpu](hw::Mhz f) {
+        return gpu.errors.rates(f, hw::Guardband::Optimized);
+      },
+      t_base_seconds, blocks);
+}
+
+AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
+                     const hw::ClockTable& gpu, double t_base_seconds,
+                     std::int64_t blocks) {
+  return ladder(
+      fc_desired, f_desired, gpu.device().freq,
+      [&gpu](hw::Mhz f) { return gpu.rates(f, hw::Guardband::Optimized); },
+      t_base_seconds, blocks);
 }
 
 }  // namespace bsr::abft

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "abft/checksum.hpp"
+#include "hw/clock_table.hpp"
 #include "hw/platform.hpp"
 
 namespace bsr::abft {
@@ -28,6 +29,12 @@ struct AbftDecision {
 /// `blocks` is S = (n/b)^2.
 AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
                      const hw::DeviceModel& gpu, double t_base_seconds,
+                     std::int64_t blocks);
+
+/// The same ladder, reading each candidate clock's SDC rates from a run's
+/// clock table.
+AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
+                     const hw::ClockTable& gpu, double t_base_seconds,
                      std::int64_t blocks);
 
 }  // namespace bsr::abft

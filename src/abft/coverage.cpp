@@ -35,10 +35,11 @@ namespace {
 // pj <= 1 and stops only when m1 >= 0. The exits need s >= 2^-900, clear of
 // subnormals, and a NaN sum or term fails every comparison, so never exits.
 //
-// The tables the sums read (pj, dbf) are filled on first use, in index order,
-// by the expressions a full fill uses, and std::log(i) for small integer i
-// comes from a table of the very values std::log returns (same libm, same
-// input, same bits).
+// The tables the sums read (the m0 row, pj, dbf) are filled on first use, in
+// index order, by the expressions a full fill uses, and std::log(i) for small
+// integer i comes from a table of the very values std::log returns (same
+// libm, same input, same bits). One ABFT-OC step shares its m0 row and
+// e^{-l2 T} between the two sums (StepCoverage).
 
 /// Upper summation bound for a Poisson tail: mean + 10 sqrt(mean) + 16 keeps
 /// the truncation error far below the 1e-6 coverage resolution we report.
@@ -90,43 +91,55 @@ bool absorbed(int i, double mean, double bound, double sum) {
 
 }  // namespace
 
-double fc_single(const hw::ErrorRates& rates, double t_seconds,
-                 std::int64_t blocks) {
-  if (rates.fault_free()) return 1.0;
-  const double m0 = rates.d0 * t_seconds;
-  if (!std::isfinite(m0)) return 0.0;
-  const double log_m0 = log_mean(m0);
-  const double s = static_cast<double>(blocks);
+StepCoverage::StepCoverage(const hw::ErrorRates& rates, double t_seconds,
+                           std::int64_t blocks)
+    : scope_(Arena::scratch()),
+      rates_(rates),
+      t_seconds_(t_seconds),
+      blocks_(blocks),
+      m0_(rates.d0 * t_seconds) {
+  if (rates.fault_free() || !std::isfinite(m0_)) return;
+  log_m0_ = log_mean(m0_);
+  kmax_ = poisson_cutoff(m0_, blocks);
+  row_ = scope_.alloc<double>(static_cast<std::size_t>(std::max(kmax_, 0)) +
+                              1);
+  e2_ = std::exp(-rates.d2 * t_seconds);
+}
+
+double StepCoverage::pk(int k) {
+  if (k == row_len_) row_[row_len_++] = poisson_pmf(k, m0_, log_m0_);
+  return row_[k];
+}
+
+double StepCoverage::single() {
+  if (rates_.fault_free()) return 1.0;
+  if (!std::isfinite(m0_)) return 0.0;
+  const double s = static_cast<double>(blocks_);
   double sum = 0.0;
-  const int kmax = poisson_cutoff(m0, blocks);
   // Incremental distinct-block factor: after iteration k, `prod` equals
   // prod_{i=0}^{k} (S - i) / S — the reference function's value for count k.
   double prod = 1.0;
   bool zero = false;
-  for (int k = 0; k <= kmax; ++k) {
-    const double pk = poisson_pmf(k, m0, log_m0);
-    if (absorbed(k, m0, pk, sum)) break;
-    const double term = static_cast<double>(blocks - k) / s;
+  for (int k = 0; k <= kmax_; ++k) {
+    const double p = pk(k);
+    if (absorbed(k, m0_, p, sum)) break;
+    const double term = static_cast<double>(blocks_ - k) / s;
     if (!zero && term <= 0.0) zero = true;
     if (!zero) prod *= term;
-    sum += pk * (zero ? 0.0 : prod);
+    sum += p * (zero ? 0.0 : prod);
   }
-  return sum * std::exp(-rates.d1 * t_seconds) * std::exp(-rates.d2 * t_seconds);
+  return sum * std::exp(-rates_.d1 * t_seconds_) * e2_;
 }
 
-double fc_full(const hw::ErrorRates& rates, double t_seconds,
-               std::int64_t blocks) {
-  if (rates.fault_free()) return 1.0;
-  const double m0 = rates.d0 * t_seconds;
-  const double m1 = rates.d1 * t_seconds;
-  if (!std::isfinite(m0) || !std::isfinite(m1)) return 0.0;
-  const double log_m0 = log_mean(m0);
+double StepCoverage::full() {
+  if (rates_.fault_free()) return 1.0;
+  const double m1 = rates_.d1 * t_seconds_;
+  if (!std::isfinite(m0_) || !std::isfinite(m1)) return 0.0;
   const double log_m1 = log_mean(m1);
-  const double s = static_cast<double>(blocks);
-  const int kmax = poisson_cutoff(m0, blocks);
-  const int jmax = poisson_cutoff(m1, blocks);
+  const double s = static_cast<double>(blocks_);
+  const int jmax = poisson_cutoff(m1, blocks_);
   const int cmax = static_cast<int>(
-      std::min<std::int64_t>(static_cast<std::int64_t>(kmax) + jmax, blocks));
+      std::min<std::int64_t>(static_cast<std::int64_t>(kmax_) + jmax, blocks_));
 
   ArenaScope scope(Arena::scratch());
   // pj[j] = poisson_pmf(j, m1), and the distinct-block factor's prefix
@@ -145,17 +158,17 @@ double fc_full(const hw::ErrorRates& rates, double t_seconds,
   bool zero = false;
 
   double sum = 0.0;
-  for (int k = 0; k <= kmax; ++k) {
-    const double pk = poisson_pmf(k, m0, log_m0);
-    if (m1 >= 0.0 && absorbed(k, m0, pk, sum)) break;
+  for (int k = 0; k <= kmax_; ++k) {
+    const double p = pk(k);
+    if (m1 >= 0.0 && absorbed(k, m0_, p, sum)) break;
     const int jlim = static_cast<int>(
-        std::min<std::int64_t>(jmax, blocks - k));
+        std::min<std::int64_t>(jmax, blocks_ - k));
     for (int j = 0; j <= jlim; ++j) {
       if (j == pj_len) pj[pj_len++] = poisson_pmf(j, m1, log_m1);
-      const double pkj = pk * pj[j];
+      const double pkj = p * pj[j];
       if (absorbed(j, m1, pkj, sum)) break;
       for (; dbf_len <= k + j; ++dbf_len) {
-        const double term = static_cast<double>(blocks - dbf_len) / s;
+        const double term = static_cast<double>(blocks_ - dbf_len) / s;
         if (!zero && term <= 0.0) zero = true;
         if (!zero) prod *= term;
         dbf[dbf_len] = zero ? 0.0 : prod;
@@ -163,7 +176,17 @@ double fc_full(const hw::ErrorRates& rates, double t_seconds,
       sum += pkj * dbf[k + j];
     }
   }
-  return sum * std::exp(-rates.d2 * t_seconds);
+  return sum * e2_;
+}
+
+double fc_single(const hw::ErrorRates& rates, double t_seconds,
+                 std::int64_t blocks) {
+  return StepCoverage(rates, t_seconds, blocks).single();
+}
+
+double fc_full(const hw::ErrorRates& rates, double t_seconds,
+               std::int64_t blocks) {
+  return StepCoverage(rates, t_seconds, blocks).full();
 }
 
 const char* coverage_label_static(double fc, bool fault_free) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 
+#include "common/arena.hpp"
 #include "hw/error_model.hpp"
 
 namespace bsr::abft {
@@ -33,6 +34,38 @@ double fc_single(const hw::ErrorRates& rates, double t_seconds,
 /// Same for full-checksum ABFT (tolerates 0D and 1D).
 double fc_full(const hw::ErrorRates& rates, double t_seconds,
                std::int64_t blocks);
+
+/// Both coverages of one ABFT-OC ladder step: the same rates, window and
+/// block count. single() and full() read one row of Poisson(k; l0 T)
+/// weights, filled on first use in index order, and one e^{-l2 T}, so the
+/// step evaluates each of them once; each result has the bits of fc_single
+/// or fc_full. The row lives in the thread's scratch arena until the step
+/// is destroyed.
+class StepCoverage {
+ public:
+  StepCoverage(const hw::ErrorRates& rates, double t_seconds,
+               std::int64_t blocks);
+  StepCoverage(const StepCoverage&) = delete;
+  StepCoverage& operator=(const StepCoverage&) = delete;
+
+  [[nodiscard]] double single();
+  [[nodiscard]] double full();
+
+ private:
+  /// poisson_pmf(k, l0 T), computed when first asked for.
+  double pk(int k);
+
+  ArenaScope scope_;
+  hw::ErrorRates rates_;
+  double t_seconds_;
+  std::int64_t blocks_;
+  double m0_;
+  double log_m0_ = 0.0;
+  int kmax_ = -1;
+  double e2_ = 1.0;  ///< e^{-l2 T}
+  double* row_ = nullptr;
+  int row_len_ = 0;
+};
 
 /// Human-readable label used by the Table-1 bench ("Full Coverage",
 /// "Fault-free", or a percentage).

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "predict/workload.hpp"
 
@@ -75,6 +76,64 @@ struct BlockCyclic {
   /// (exactly 1 on the 1-D layout).
   [[nodiscard]] double row_slice(const predict::WorkloadModel& wl, int k,
                                  int rg) const;
+
+  /// share() from counts: a device whose column group holds `cols` and whose
+  /// row group holds `rows` of the `trailing` trailing block columns (and
+  /// rows). share() and LayoutTable both compute through it.
+  [[nodiscard]] double share_of(std::int64_t cols, std::int64_t rows,
+                                std::int64_t trailing) const;
+  /// row_slice() from the row group's count `rows` of `trailing`.
+  [[nodiscard]] double row_slice_of(std::int64_t rows,
+                                    std::int64_t trailing) const;
+};
+
+/// BlockCyclic's per-(iteration, device) values for one run, computed once
+/// from per-(iteration, column group) and per-(iteration, row group) counts
+/// through share_of() and row_slice_of(), so every entry has the bits of the
+/// BlockCyclic call it replaces. The cluster engine reads these instead of
+/// re-deriving the layout with 64-bit divisions per event.
+class LayoutTable {
+ public:
+  LayoutTable(const BlockCyclic& dist, const predict::WorkloadModel& wl);
+
+  /// BlockCyclic::share(wl, k, d).
+  [[nodiscard]] double share(int k, int d) const { return at(k, d).share; }
+  /// BlockCyclic::has_work(wl, k, d).
+  [[nodiscard]] bool has_work(int k, int d) const {
+    return at(k, d).has_work;
+  }
+  /// BlockCyclic::row_slice(wl, k, row_group(d)): the panel slice d's row
+  /// group consumes.
+  [[nodiscard]] double row_slice(int k, int d) const {
+    return at(k, d).row_slice;
+  }
+  /// BlockCyclic::local_cols(wl, k, d).
+  [[nodiscard]] std::int64_t local_cols(int k, int d) const {
+    return cols_[static_cast<std::size_t>(k) * static_cast<std::size_t>(p_) +
+                 static_cast<std::size_t>(d % p_)];
+  }
+  /// BlockCyclic::owner(k), the owner of panel k.
+  [[nodiscard]] int owner(int k) const {
+    return owners_[static_cast<std::size_t>(k)];
+  }
+
+ private:
+  struct Entry {
+    double share = 0.0;
+    double row_slice = 0.0;
+    bool has_work = false;
+  };
+  [[nodiscard]] const Entry& at(int k, int d) const {
+    return entries_[static_cast<std::size_t>(k) *
+                        static_cast<std::size_t>(devices_) +
+                    static_cast<std::size_t>(d)];
+  }
+
+  int devices_ = 1;
+  int p_ = 1;
+  std::vector<Entry> entries_;       ///< flat (iteration, device)
+  std::vector<std::int64_t> cols_;   ///< flat (iteration, column group)
+  std::vector<int> owners_;          ///< per iteration
 };
 
 }  // namespace bsr::cluster

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "cluster/distribution.hpp"
 #include "cluster/event_engine.hpp"
 #include "common/rng.hpp"
+#include "hw/clock_table.hpp"
 #include "predict/slack_predictor.hpp"
 
 namespace bsr::cluster {
@@ -52,6 +52,7 @@ struct ClusterEvent {
 struct Lane {
   int index = 0;  ///< 0 = host, 1 + d = accelerator d (trace lane id)
   const hw::DeviceModel* dev = nullptr;
+  const hw::ClockTable* clk = nullptr;  ///< dev's clock table (run-owned)
   hw::DvfsController dvfs;
   hw::Guardband gb = hw::Guardband::Default;
   bool halt_idle = false;
@@ -81,6 +82,11 @@ class ClusterRun {
         opt_(options),
         dist_{std::max(1, profile.num_devices()), options.grid_p,
               options.grid_q},
+        // Per-run tables: iteration counts, layout, peer links and clocks
+        // are pure functions of (k, d, f), computed once here.
+        work_(std::make_shared<const predict::WorkloadTable>(workload)),
+        layout_(dist_, workload),
+        peers_(profile.links, profile.num_devices()),
         iters_(workload.num_iterations()),
         blocks_total_((workload.n / workload.b) * (workload.n / workload.b)),
         // Panel-priority look-ahead (hierarchical relay only): the next
@@ -100,6 +106,13 @@ class ClusterRun {
         device_pd_(profile.links.hierarchical() &&
                    options.schedule != BroadcastSchedule::Relay) {
     lanes_.resize(1 + static_cast<std::size_t>(profile_.num_devices()));
+    // Reserved so the lanes' table pointers stay valid while tables are
+    // added.
+    clocks_.reserve(lanes_.size());
+    panel_bytes_.resize(static_cast<std::size_t>(iters_));
+    for (int k = 0; k < iters_; ++k) {
+      panel_bytes_[static_cast<std::size_t>(k)] = panel_area_bytes(k);
+    }
     init_lane(lanes_[0], profile_.host, /*lane=*/0);
     for (int d = 0; d < profile_.num_devices(); ++d) {
       init_lane(lanes_[1 + static_cast<std::size_t>(d)],
@@ -109,6 +122,8 @@ class ClusterRun {
     node_bus_free_.assign(
         static_cast<std::size_t>(profile_.links.num_nodes()), SimTime::zero());
     send_free_.assign(static_cast<std::size_t>(profile_.num_devices()),
+                      SimTime::zero());
+    peer_free_.assign(static_cast<std::size_t>(peers_.num_ports()),
                       SimTime::zero());
     // Flat per-(iteration, lane) plan storage and reusable decide() scratch:
     // one allocation each for the whole run instead of per-iteration churn.
@@ -146,7 +161,7 @@ class ClusterRun {
     // immediately, and under R2H the hardware governor halts them — neither
     // should idle at base-clock power for the whole run.
     for (int d = 0; d < profile_.num_devices(); ++d) {
-      if (dist_.has_work(wl_, 0, d)) continue;
+      if (layout_.has_work(0, d)) continue;
       Lane& lane = lanes_[static_cast<std::size_t>(1 + d)];
       if (opt_.strategy == ClusterStrategy::R2H) {
         lane.halt_idle = true;
@@ -193,10 +208,11 @@ class ClusterRun {
   void init_lane(Lane& lane, const hw::DeviceModel& dev, int index) {
     lane.index = index;
     lane.dev = &dev;
+    lane.clk = &clock_table(dev);
     lane.dvfs = dev.make_dvfs();
     lane.use.name = dev.name;
-    lane.enhanced = std::make_unique<predict::EnhancedPredictor>(wl_);
-    lane.first = std::make_unique<predict::FirstIterationPredictor>(wl_);
+    lane.enhanced = std::make_unique<predict::EnhancedPredictor>(work_);
+    lane.first = std::make_unique<predict::FirstIterationPredictor>(work_);
     lane.noise.assign(static_cast<std::size_t>(iters_), 1.0);
     if (opt_.noise.enabled && iters_ > 1) {
       const double drift = index == 0 ? opt_.noise.cpu_drift
@@ -223,6 +239,15 @@ class ClusterRun {
     }
   }
 
+  /// The run's clock table for `dev`: shared with every earlier lane whose
+  /// model reads the same (the 64 GPUs of a rack differ only in name).
+  const hw::ClockTable& clock_table(const hw::DeviceModel& dev) {
+    for (const hw::ClockTable& t : clocks_) {
+      if (hw::ClockTable::reads_same(t.device(), dev)) return t;
+    }
+    return clocks_.emplace_back(dev);
+  }
+
   /// Realizes a plan's clock through the lane's variability models
   /// (quantization + thermal admission) and rewrites the decision so
   /// run_compute transitions to exactly the granted clock. Returns the clock
@@ -243,8 +268,8 @@ class ClusterRun {
 
   [[nodiscard]] double idle_power(const Lane& lane) const {
     const hw::Mhz f = lane.dvfs.current();
-    return lane.halt_idle ? sched::halted_idle_power(*lane.dev, f)
-                          : lane.dev->idle_power(f);
+    return lane.halt_idle ? lane.clk->halted_idle_power(f)
+                          : lane.clk->idle_power(f);
   }
 
   /// Integrates idle energy from the lane's last busy instant to `until`.
@@ -287,7 +312,7 @@ class ClusterRun {
       trace_->record(tv);
     }
     last_dvfs_lat_ = lat;
-    const double p = lane.dev->busy_power(lane.dvfs.current(), lane.gb);
+    const double p = lane.clk->busy_power(lane.dvfs.current(), lane.gb);
     lane.use.energy_j += p * busy.seconds();
     lane.use.busy_s += busy.seconds();
     lane.use.flops += flops;
@@ -367,7 +392,7 @@ class ClusterRun {
 
   // -- workload shares --------------------------------------------------------
 
-  [[nodiscard]] double one_way_bytes(int k) const {
+  [[nodiscard]] double panel_area_bytes(int k) const {
     // The full factored panel region the trailing update consumes: m x b
     // elements (L / Householder vectors). For LU and QR this equals the
     // single-node transfer_bytes / 2; for Cholesky the single-node pipeline
@@ -380,13 +405,18 @@ class ClusterRun {
     return m * b * static_cast<double>(wl_.elem_bytes);
   }
 
+  /// panel_area_bytes(k), from the run's per-iteration table.
+  [[nodiscard]] double one_way_bytes(int k) const {
+    return panel_bytes_[static_cast<std::size_t>(k)];
+  }
+
   /// Device d's effective share of iteration k's trailing-update work: the
   /// structural block-cyclic fraction, or the rebalanced one decide() stored
   /// for this iteration when straggler rebalancing is on. decide(k) always
   /// runs before any share consumer of iteration k (it fires when PD(k)
   /// starts), so the rebalanced row is never read unfilled.
   [[nodiscard]] double share_for(int k, int d) const {
-    if (!opt_.rebalance) return dist_.share(wl_, k, d);
+    if (!opt_.rebalance) return layout_.share(k, d);
     return eff_share_[static_cast<std::size_t>(k) *
                           static_cast<std::size_t>(profile_.num_devices()) +
                       static_cast<std::size_t>(d)];
@@ -401,13 +431,12 @@ class ClusterRun {
   };
   [[nodiscard]] DeviceWork device_work(int k, int d, hw::Mhz f,
                                        abft::ChecksumMode mode) const {
-    const predict::IterationWork w = wl_.iteration(k);
+    const predict::IterationWork& w = work_->iteration(k);
     const double share = share_for(k, d);
-    const hw::DeviceModel& dev = profile_.devices[static_cast<std::size_t>(d)];
+    const hw::ClockTable& clk = *lanes_[static_cast<std::size_t>(1 + d)].clk;
     DeviceWork out;
     out.flops = w.gpu_flops() * share;
-    out.update = dev.perf.time_for_flops(out.flops, hw::KernelClass::Blas3, f,
-                                         dev.freq);
+    out.update = clk.time_for_flops(out.flops, hw::KernelClass::Blas3, f);
     double chk_flops = 0.0;
     double chk_bytes = 0.0;
     if (mode == abft::ChecksumMode::SingleSide) {
@@ -421,10 +450,9 @@ class ClusterRun {
       // Checksum work costs time and energy but is deliberately NOT added to
       // `flops`: DeviceUsage reports *useful* factorization throughput, like
       // RunReport::gflops().
-      out.abft = dev.perf.time_for_flops(chk_flops,
-                                         hw::KernelClass::ChecksumUpdate, f,
-                                         dev.freq) +
-                 dev.perf.time_for_bytes(chk_bytes, f, dev.freq);
+      out.abft =
+          clk.time_for_flops(chk_flops, hw::KernelClass::ChecksumUpdate, f) +
+          clk.time_for_bytes(chk_bytes, f);
     }
     return out;
   }
@@ -452,8 +480,9 @@ class ClusterRun {
   [[nodiscard]] abft::ChecksumMode abft_mode_for(int d, hw::Mhz f,
                                                  double t_base, int k) const {
     if (opt_.forced_abft) return *opt_.forced_abft;
-    const hw::DeviceModel& dev = profile_.devices[static_cast<std::size_t>(d)];
-    return abft::abft_oc(opt_.bsr.fc_desired, f, dev, t_base, local_blocks(k, d))
+    const hw::ClockTable& clk = *lanes_[static_cast<std::size_t>(1 + d)].clk;
+    return abft::abft_oc(opt_.bsr.fc_desired, f, clk, t_base,
+                         local_blocks(k, d))
         .mode;
   }
 
@@ -470,7 +499,7 @@ class ClusterRun {
     const int nd = profile_.num_devices();
     double* row = eff_share_.data() +
                   static_cast<std::size_t>(k) * static_cast<std::size_t>(nd);
-    for (int d = 0; d < nd; ++d) row[d] = dist_.share(wl_, k, d);
+    for (int d = 0; d < nd; ++d) row[d] = layout_.share(k, d);
     if (k == 0) return;  // untrained predictors: no per-lane signal yet
     double wsum = 0.0;
     for (int d = 0; d < nd; ++d) {
@@ -535,7 +564,8 @@ class ClusterRun {
       core[0] = predictor(lanes_[0]).predict(OpKind::PD, k);
       if (k + 1 < iters_) {
         over[0] = profile_.links
-                      .device_to_host(dist_.owner(k + 1), one_way_bytes(k + 1))
+                      .device_to_host(layout_.owner(k + 1),
+                                      one_way_bytes(k + 1))
                       .seconds();
       }
     }
@@ -544,22 +574,20 @@ class ClusterRun {
       const double share = share_for(k, d);
       // The broadcast payload a device waits for is its row group's slice of
       // the panel (the whole panel on the 1-D layout, where row_slice is 1).
-      const double bytes =
-          one_way_bytes(k) * dist_.row_slice(wl_, k, dist_.row_group(d));
+      const double bytes = one_way_bytes(k) * layout_.row_slice(k, d);
       core[i] = predictor(lanes_[i]).predict(OpKind::TMU, k) * share;
       over[i] = share > 0.0
                     ? profile_.links.host_to_device(d, bytes).seconds()
                     : 0.0;
-      if (device_pd_ && k > 0 && d == dist_.owner(k)) {
+      if (device_pd_ && k > 0 && d == layout_.owner(k)) {
         // The panel-owning lane additionally factors panel k this
         // iteration. Model-based estimate (the per-lane PD history is too
         // sparse under round-robin ownership to feed the predictors).
         core[i] += lanes_[i]
-                       .dev->perf
-                       .time_for_flops(wl_.iteration(k).pd_flops,
-                                       hw::KernelClass::Panel,
-                                       lanes_[i].dev->freq.base_mhz,
-                                       lanes_[i].dev->freq)
+                       .clk
+                       ->time_for_flops(work_->iteration(k).pd_flops,
+                                        hw::KernelClass::Panel,
+                                        lanes_[i].dev->freq.base_mhz)
                        .seconds();
       }
     }
@@ -603,14 +631,14 @@ class ClusterRun {
         // ABFT-OC may cap the clock at the coverable frequency (the checksum
         // mode itself is chosen at update start, against the live clock).
         const abft::AbftDecision ad = abft::abft_oc(
-            opt_.bsr.fc_desired, f, *lane.dev, core[crit],
+            opt_.bsr.fc_desired, f, *lane.clk, core[crit],
             local_blocks(k, static_cast<int>(crit) - 1));
         f = oc ? ad.freq : std::min(ad.freq, lane.dev->freq.base_mhz);
       }
       plan[crit].freq = f;
     }
     const double t_crit_proj =
-        energy::time_at_freq(core[crit], plan[crit].freq, *lanes_[crit].dev) +
+        energy::time_at_freq(core[crit], plan[crit].freq, *lanes_[crit].clk) +
         over[crit];
     const double t_new = std::max(t_crit_proj, t_second);
 
@@ -635,7 +663,7 @@ class ClusterRun {
       plan[i].core_t = core[i];
       if (plan[i].freq <= 0) continue;
       const double proj =
-          energy::time_at_freq(core[i], plan[i].freq, *lanes_[i].dev) +
+          energy::time_at_freq(core[i], plan[i].freq, *lanes_[i].clk) +
           over[i];
       const double bound = (i == crit ? t_max : std::max(t_new, t_max)) + eps;
       plan[i].adjust = proj <= bound && plan[i].freq != lanes_[i].dvfs.current();
@@ -667,15 +695,15 @@ class ClusterRun {
     // over the same device's iteration-k trailing update.
     const bool on_device = device_pd_ && k > 0;
     Lane& lane = on_device
-                     ? lanes_[static_cast<std::size_t>(1 + dist_.owner(k))]
+                     ? lanes_[static_cast<std::size_t>(1 + layout_.owner(k))]
                      : lanes_[0];
     LaneDecision d = plan_row(k)[static_cast<std::size_t>(lane.index)];
-    const predict::IterationWork w = wl_.iteration(k);
+    const predict::IterationWork& w = work_->iteration(k);
     // Realize the clock first so the busy time reflects the new frequency
     // (variability may quantize or thermally clamp the plan's choice).
     const hw::Mhz f = realize_clock(lane, d);
-    SimTime busy = lane.dev->perf.time_for_flops(
-        w.pd_flops, hw::KernelClass::Panel, f, lane.dev->freq);
+    SimTime busy =
+        lane.clk->time_for_flops(w.pd_flops, hw::KernelClass::Panel, f);
     busy = busy * lane_noise(lane.index, k);
     if (opt_.variability.enabled) busy = busy * lane.var.compute_factor(k);
     const SimTime done = run_compute(lane, ready, d, busy, w.pd_flops);
@@ -696,12 +724,11 @@ class ClusterRun {
 
   /// Occupies the direct peer link between src and dst (one registration
   /// covers both directions); peer traffic bypasses the host bus entirely.
-  SimTime run_peer_transfer(int src, int dst, SimTime ready, double bytes,
-                            const hw::TransferModel& link, int k) {
-    const auto key = std::minmax(src, dst);
-    SimTime& free = peer_free_[{key.first, key.second}];
+  SimTime run_peer_transfer(int dst, SimTime ready, double bytes,
+                            const PeerTable::Peer& peer, int k) {
+    SimTime& free = peer_free_[static_cast<std::size_t>(peer.port)];
     const SimTime start = max(ready, free);
-    SimTime dur = link.time_for_bytes(bytes);
+    SimTime dur = peer.link->time_for_bytes(bytes);
     if (opt_.variability.enabled) {
       dur = dur *
             lanes_[static_cast<std::size_t>(1 + dst)].var.transfer_factor();
@@ -740,8 +767,9 @@ class ClusterRun {
   /// link when registered, the inter-node fabric when the endpoints sit on
   /// different nodes, staged through host memory otherwise.
   SimTime run_hop(int src, int dst, SimTime ready, double bytes, int k) {
-    if (const hw::TransferModel* link = profile_.links.peer(src, dst)) {
-      return run_peer_transfer(src, dst, ready, bytes, *link, k);
+    if (const PeerTable::Peer peer = peers_.find(src, dst);
+        peer.link != nullptr) {
+      return run_peer_transfer(dst, ready, bytes, peer, k);
     }
     if (profile_.links.node(src) != profile_.links.node(dst)) {
       return run_internode_transfer(dst, ready, bytes, k);
@@ -759,26 +787,28 @@ class ClusterRun {
     const double bytes = one_way_bytes(k);
     // The broadcast root: the host, or — in the accelerator-resident panel
     // pipeline — the device that just factored panel k and already holds it.
-    const int source = device_pd_ && k > 0 ? dist_.owner(k) : -1;
+    const int source = device_pd_ && k > 0 ? layout_.owner(k) : -1;
     // Ring and tree hand the payload to the *next* panel's owner at the
     // earliest hop: its arrival gates the next panel factorization, so the
     // pipeline is only as deep as that first delivery. From a device root
     // the chain starts at the root itself (the next owner is its cyclic
     // successor, one hop away). Rotation is a hierarchical-only refinement —
     // on flat profiles the schedules keep the ascending legacy order.
-    const int next_owner = k + 1 < iters_ ? dist_.owner(k + 1) : -1;
+    const int next_owner = k + 1 < iters_ ? layout_.owner(k + 1) : -1;
     const int lead = source >= 0
                          ? source
                          : profile_.links.hierarchical() ? next_owner : -1;
     for (int rg = 0; rg < dist_.q(); ++rg) {
       recips_.clear();
       for (int d = rg * dist_.p(); d < (rg + 1) * dist_.p(); ++d) {
-        if (d < profile_.num_devices() && dist_.has_work(wl_, k, d)) {
+        if (d < profile_.num_devices() && layout_.has_work(k, d)) {
           recips_.push_back(d);
         }
       }
       if (recips_.empty()) continue;
-      const double job_bytes = bytes * dist_.row_slice(wl_, k, rg);
+      // Every recipient sits in row group rg, so the first one's slice is
+      // the group's.
+      const double job_bytes = bytes * layout_.row_slice(k, recips_.front());
       switch (opt_.schedule) {
         case BroadcastSchedule::Relay: relay_job(k, job_bytes); break;
         case BroadcastSchedule::Ring:
@@ -814,23 +844,23 @@ class ClusterRun {
   void relay_job(int k, double bytes) {
     for (std::size_t i = 0; i < recips_.size(); ++i) {
       const int d = recips_[i];
-      const hw::TransferModel* relay_link = nullptr;
+      PeerTable::Peer relay;
       int relay_src = -1;
       for (std::size_t j = 0; j < i; ++j) {
-        if (const hw::TransferModel* peer =
-                profile_.links.peer(recips_[j], d)) {
-          relay_link = peer;
+        if (const PeerTable::Peer peer = peers_.find(recips_[j], d);
+            peer.link != nullptr) {
+          relay = peer;
           relay_src = recips_[j];
           break;
         }
       }
       SimTime at;
-      if (relay_link != nullptr) {
+      if (relay.link != nullptr) {
         SimTime ready = arrival_[static_cast<std::size_t>(relay_src)];
         if (profile_.links.hierarchical()) {
           ready = max(ready, send_free_[static_cast<std::size_t>(relay_src)]);
         }
-        at = run_peer_transfer(relay_src, d, ready, bytes, *relay_link, k);
+        at = run_peer_transfer(d, ready, bytes, relay, k);
         if (profile_.links.hierarchical()) {
           send_free_[static_cast<std::size_t>(relay_src)] = at;
         }
@@ -1016,14 +1046,14 @@ class ClusterRun {
       // anomaly, not an efficiency change the predictors should learn.
       record(lane, OpKind::TMU, k, (work.update * noise).seconds(), share);
     }
-    if (early_ship_ && k + 1 < iters_ && d == dist_.owner(k + 1)) {
+    if (early_ship_ && k + 1 < iters_ && d == layout_.owner(k + 1)) {
       // Panel-priority look-ahead: the owner reorders its local update to
       // finish panel column k+1 first (one of its local_cols columns) and
       // DMAs it home at that instant, so the host factors PD(k+1) while the
       // rest of this device's trailing update is still running. The lane
       // itself stays busy until `done` — only the transfer departs early.
       const std::int64_t cols =
-          std::max<std::int64_t>(1, dist_.local_cols(wl_, k, d));
+          std::max<std::int64_t>(1, layout_.local_cols(k, d));
       const SimTime slice_done =
           done - busy + busy * (1.0 / static_cast<double>(cols));
       const SimTime arrived =
@@ -1047,7 +1077,7 @@ class ClusterRun {
   /// busy + idle + dvfs still reconciles with the makespan.
   SimTime expose_update(Lane& lane, const LaneDecision& dec, int k, int d,
                         hw::Mhz f, abft::ChecksumMode mode, SimTime exposed) {
-    const hw::ErrorRates rates = lane.dev->errors.rates(f, dec.gb);
+    const hw::ErrorRates rates = lane.clk->rates(f, dec.gb);
     const faultcamp::FaultCounts counts = lane.faults.sample(rates, exposed);
     const faultcamp::Resolution res =
         faultcamp::resolve(counts, mode, opt_.faults.rollback);
@@ -1061,7 +1091,7 @@ class ClusterRun {
     if (res.corrected() > 0) {
       const SimTime corr = SimTime::from_seconds(
           opt_.faults.correction_s * static_cast<double>(res.corrected()));
-      lane.use.energy_j += lane.dev->busy_power(f, dec.gb) * corr.seconds();
+      lane.use.energy_j += lane.clk->busy_power(f, dec.gb) * corr.seconds();
       extra += corr;
     }
     if (res.rollbacks > 0) {
@@ -1069,7 +1099,7 @@ class ClusterRun {
           device_work(k, d, lane.dev->freq.base_mhz, mode);
       const SimTime rb = redo.update + redo.abft;
       lane.use.energy_j +=
-          lane.dev->busy_power(lane.dev->freq.base_mhz,
+          lane.clk->busy_power(lane.dev->freq.base_mhz,
                                hw::Guardband::Default) *
           rb.seconds();
       extra += rb;
@@ -1103,7 +1133,7 @@ class ClusterRun {
     // mid-update from start_update() instead, and the accelerator-resident
     // pipeline never ships panels home at all.)
     if (!early_ship_ && !device_pd_ && k + 1 < iters_ &&
-        d == dist_.owner(k + 1)) {
+        d == layout_.owner(k + 1)) {
       const SimTime arrived = run_transfer(
           d, lanes_[static_cast<std::size_t>(1 + d)].busy_until,
           one_way_bytes(k + 1), k + 1);
@@ -1113,7 +1143,7 @@ class ClusterRun {
     // Once a device owns no trailing blocks it never works again
     // (block-cyclic ownership only shrinks): park the retired lane so it
     // does not burn last-clock idle power until the makespan barrier.
-    if (k + 1 >= iters_ || !dist_.has_work(wl_, k + 1, d)) {
+    if (k + 1 >= iters_ || !layout_.has_work(k + 1, d)) {
       park_lane(lanes_[static_cast<std::size_t>(1 + d)]);
     }
   }
@@ -1136,11 +1166,7 @@ class ClusterRun {
   /// (for devices) scaled from the local share back to the global task, so
   /// the Table-2 complexity ratios stay applicable.
   void record(Lane& lane, OpKind op, int k, double seconds, double share) {
-    const hw::Mhz f = lane.dvfs.current();
-    const double scale =
-        std::pow(static_cast<double>(f) /
-                     static_cast<double>(lane.dev->freq.base_mhz),
-                 lane.dev->perf.freq_exponent);
+    const double scale = lane.clk->speed_scale(lane.dvfs.current());
     const double base_global = seconds * scale / share;
     lane.enhanced->record(op, k, base_global);
     lane.first->record(op, k, base_global);
@@ -1157,6 +1183,11 @@ class ClusterRun {
   obs::TraceRecorder* trace_ = nullptr;  ///< opt_.trace; null = tracing off
   SimTime last_dvfs_lat_;  ///< transition latency of the latest run_compute
   BlockCyclic dist_;
+  std::shared_ptr<const predict::WorkloadTable> work_;  ///< every predictor's
+  LayoutTable layout_;
+  PeerTable peers_;
+  std::vector<hw::ClockTable> clocks_;  ///< one per distinct device model
+  std::vector<double> panel_bytes_;     ///< panel_area_bytes per iteration
   int iters_ = 0;
   std::int64_t blocks_total_ = 0;
   bool early_ship_ = false;  ///< panel-priority look-ahead (see ctor)
@@ -1169,7 +1200,7 @@ class ClusterRun {
   SimTime internode_free_;            ///< shared inter-node fabric
   std::vector<SimTime> node_bus_free_;  ///< per-node bus (slot 0 unused)
   std::vector<SimTime> send_free_;    ///< per-device send port (collectives)
-  std::map<std::pair<int, int>, SimTime> peer_free_;  ///< key (min, max)
+  std::vector<SimTime> peer_free_;    ///< per PeerTable port slot
   std::vector<LaneDecision> plans_;  ///< flat (iteration, lane) plan grid
   std::vector<double> core_, over_, lane_t_;  ///< decide() scratch
   std::vector<double> eff_share_;  ///< flat (iteration, device) shares

@@ -55,6 +55,55 @@ const hw::TransferModel* LinkTopology::peer(int src, int dst) const {
   return nullptr;
 }
 
+PeerTable::PeerTable(const LinkTopology& links, int devices)
+    : first_(static_cast<std::size_t>(std::max(devices, 0)) + 1, 0) {
+  const auto covered = [devices](int d) { return d >= 0 && d < devices; };
+  // Port slots: links sorted by their unordered device pair, one slot per
+  // distinct pair, recorded by each link's position in map order.
+  std::vector<std::pair<std::pair<int, int>, std::size_t>> pairs;
+  pairs.reserve(links.peer_links.size());
+  for (const auto& [key, link] : links.peer_links) {
+    pairs.emplace_back(std::minmax(key.first, key.second), pairs.size());
+    if (covered(key.first)) ++first_[static_cast<std::size_t>(key.first) + 1];
+    if (covered(key.second)) {
+      ++first_[static_cast<std::size_t>(key.second) + 1];
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<int> port(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i].first != pairs[i - 1].first) ++num_ports_;
+    port[pairs[i].second] = num_ports_ - 1;
+  }
+  for (std::size_t d = 1; d < first_.size(); ++d) first_[d] += first_[d - 1];
+  entries_.resize(static_cast<std::size_t>(first_.back()));
+  std::vector<int> fill(first_.begin(), first_.end() - 1);
+  // Two passes keep every (d, x) registration ahead of every (x, d) one.
+  for (const bool forward : {true, false}) {
+    std::size_t i = 0;
+    for (const auto& [key, link] : links.peer_links) {
+      const int self = forward ? key.first : key.second;
+      if (covered(self)) {
+        Entry& e = entries_[static_cast<std::size_t>(
+            fill[static_cast<std::size_t>(self)]++)];
+        e.other = forward ? key.second : key.first;
+        e.peer = {&link, port[i]};
+      }
+      ++i;
+    }
+  }
+}
+
+PeerTable::Peer PeerTable::find(int src, int dst) const {
+  if (src < 0 || static_cast<std::size_t>(src) + 1 >= first_.size()) return {};
+  const int end = first_[static_cast<std::size_t>(src) + 1];
+  for (int i = first_[static_cast<std::size_t>(src)]; i < end; ++i) {
+    const Entry& e = entries_[static_cast<std::size_t>(i)];
+    if (e.other == dst) return e.peer;
+  }
+  return {};
+}
+
 SimTime LinkTopology::device_to_device(int src, int dst, double bytes) const {
   if (src == dst) return SimTime::zero();
   if (const hw::TransferModel* direct = peer(src, dst)) {

@@ -77,6 +77,38 @@ struct LinkTopology {
   [[nodiscard]] const hw::TransferModel* peer(int src, int dst) const;
 };
 
+/// LinkTopology::peer_links as flat per-device arrays, built once per run:
+/// lookups scan a device's few registered peers instead of searching the
+/// map twice, and each unordered device pair gets one port slot for the
+/// engine's link-busy times. Size is linear in the registered links.
+class PeerTable {
+ public:
+  /// Covers devices [0, devices); links naming other ids are never found.
+  PeerTable(const LinkTopology& links, int devices);
+
+  struct Peer {
+    const hw::TransferModel* link = nullptr;  ///< null: no peer link
+    int port = -1;  ///< slot shared by (src, dst) and (dst, src)
+  };
+  /// The link LinkTopology::peer(src, dst) returns, with its port slot.
+  [[nodiscard]] Peer find(int src, int dst) const;
+  /// Number of port slots (distinct unordered pairs with a link).
+  [[nodiscard]] int num_ports() const { return num_ports_; }
+
+ private:
+  struct Entry {
+    int other = 0;
+    Peer peer;
+  };
+  /// Device d's entries are entries_[first_[d] .. first_[d + 1]): the links
+  /// registered as (d, x) in map order, then those registered as (x, d), so
+  /// a scan meets the (src, dst) registration before (dst, src), as peer()
+  /// does.
+  std::vector<int> first_;
+  std::vector<Entry> entries_;
+  int num_ports_ = 0;
+};
+
 /// The full simulated cluster: one host (panel factorization, staging) plus
 /// `devices.size()` accelerators sharing the trailing-matrix work.
 struct ClusterProfile {

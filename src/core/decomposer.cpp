@@ -345,9 +345,8 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
       if (recoveries > 0) {
         // The redo runs the GPU op again at the base clock (safe, fault-free)
         // with the verification pass repeated.
-        const sched::TaskDurations redo = sched::compute_durations(
-            wl, k, platform, platform.cpu.freq.base_mhz,
-            platform.gpu.freq.base_mhz, d.abft_mode);
+        const sched::TaskDurations redo =
+            pipe.base_clock_durations(k, d.abft_mode);
         const SimTime penalty =
             (redo.pu + redo.tmu + redo.chk_update + redo.chk_verify) *
             static_cast<double>(recoveries);

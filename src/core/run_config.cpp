@@ -29,6 +29,22 @@ void RunConfig::validate() const {
     fail("need b <= n (got b=" + std::to_string(b) +
          ", n=" + std::to_string(n) + ")");
   }
+  // Bounds on what one config may ask the engines to allocate: per-iteration
+  // traces and tables grow with ceil(n / b), and a numeric run holds the
+  // n x n matrix twice. Computed without n + b - 1, which overflows near
+  // INT64_MAX.
+  const std::int64_t bb = block();
+  const std::int64_t iterations = n / bb + (n % bb != 0 ? 1 : 0);
+  if (iterations > kMaxIterations) {
+    fail("need ceil(n / b) <= " + std::to_string(kMaxIterations) +
+         " iterations (got n=" + std::to_string(n) +
+         ", b=" + std::to_string(bb) + ": " + std::to_string(iterations) +
+         ")");
+  }
+  if (mode == ExecutionMode::Numeric && n > kMaxNumericN) {
+    fail("numeric runs need n <= " + std::to_string(kMaxNumericN) +
+         " (got n=" + std::to_string(n) + ")");
+  }
   if (!(reclamation_ratio >= 0.0 && reclamation_ratio <= 1.0)) {
     fail("reclamation_ratio must be in [0, 1] (got " +
          std::to_string(reclamation_ratio) + ")");

@@ -13,6 +13,8 @@
 // better predictor; first-iteration predictor ≈ SR's prediction quality.
 #pragma once
 
+#include <memory>
+
 #include "abft/adaptive.hpp"
 #include "abft/coverage.hpp"
 #include "energy/strategy.hpp"
@@ -32,8 +34,10 @@ struct BsrConfig {
 
 class BsrStrategy final : public Strategy {
  public:
+  /// Both predictors read one WorkloadTable of `wl`.
   BsrStrategy(const predict::WorkloadModel& wl, BsrConfig config)
-      : enhanced_(wl), first_(wl), config_(config) {}
+      : BsrStrategy(std::make_shared<const predict::WorkloadTable>(wl),
+                    config) {}
 
   [[nodiscard]] const char* name() const override { return "BSR"; }
   sched::IterationDecision decide(int k,
@@ -48,6 +52,10 @@ class BsrStrategy final : public Strategy {
   [[nodiscard]] const BsrConfig& config() const { return config_; }
 
  private:
+  BsrStrategy(const std::shared_ptr<const predict::WorkloadTable>& table,
+              BsrConfig config)
+      : enhanced_(table), first_(table), config_(config) {}
+
   predict::EnhancedPredictor enhanced_;
   predict::FirstIterationPredictor first_;
   BsrConfig config_;

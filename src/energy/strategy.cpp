@@ -18,9 +18,11 @@ sched::RunTrace run_under_strategy(sched::HybridPipeline& pipe,
 }
 
 double time_at_freq(double t_base_s, hw::Mhz f, const hw::DeviceModel& dev) {
-  const double ratio =
-      static_cast<double>(dev.freq.base_mhz) / static_cast<double>(f);
-  return t_base_s * std::pow(ratio, dev.perf.freq_exponent);
+  return t_base_s * dev.perf.time_scale(f, dev.freq);
+}
+
+double time_at_freq(double t_base_s, hw::Mhz f, const hw::ClockTable& clk) {
+  return t_base_s * clk.time_scale(f);
 }
 
 hw::Mhz freq_for_time(double t_base_s, double t_desired_s,

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "hw/clock_table.hpp"
 #include "sched/pipeline.hpp"
 
 namespace bsr::energy {
@@ -31,6 +32,8 @@ sched::RunTrace run_under_strategy(sched::HybridPipeline& pipe, Strategy& strate
 /// Projected duration at frequency f of a task measured at base clock,
 /// using the device's perf-scaling exponent (time ∝ (f_base/f)^eta).
 double time_at_freq(double t_base_s, hw::Mhz f, const hw::DeviceModel& dev);
+/// The same projection, reading (f_base/f)^eta from a run's clock table.
+double time_at_freq(double t_base_s, hw::Mhz f, const hw::ClockTable& clk);
 
 /// Smallest on-grid frequency whose projected time meets t_desired (i.e. the
 /// paper's Roundup(F_BASE * T'/T_desired, 100 MHz), generalized to the

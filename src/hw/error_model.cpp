@@ -1,5 +1,8 @@
 #include "hw/error_model.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace bsr::hw {
 
 ErrorRateModel::ErrorRateModel(std::map<Mhz, ErrorRates> table)
@@ -33,6 +36,15 @@ ErrorRateModel ErrorRateModel::scaled(double factor) const {
     table[f] = {.d0 = r.d0 * factor, .d1 = r.d1 * factor, .d2 = r.d2 * factor};
   }
   return ErrorRateModel(std::move(table));
+}
+
+bool ErrorRateModel::same_bits(const ErrorRateModel& other) const {
+  return std::equal(table_.begin(), table_.end(), other.table_.begin(),
+                    other.table_.end(), [](const auto& a, const auto& b) {
+                      return a.first == b.first &&
+                             std::memcmp(&a.second, &b.second,
+                                         sizeof(ErrorRates)) == 0;
+                    });
 }
 
 Mhz ErrorRateModel::fault_free_max(const FrequencyDomain& dom) const {

@@ -57,6 +57,9 @@ class ErrorRateModel {
   /// keeping coverage estimation, frequency policy, and injection consistent.
   [[nodiscard]] ErrorRateModel scaled(double factor) const;
 
+  /// True when both tables hold the same clocks with bitwise-equal rates.
+  [[nodiscard]] bool same_bits(const ErrorRateModel& other) const;
+
  private:
   std::map<Mhz, ErrorRates> table_;
 };

@@ -18,6 +18,7 @@ enum class KernelClass {
   Panel,           ///< PD: getf2 / potf2 / geqr2 panel factorization
   ChecksumUpdate,  ///< skinny checksum-row GEMMs
 };
+inline constexpr int kNumKernelClasses = 3;
 
 struct PerfModel {
   double blas3_gflops_base = 0.0;
@@ -26,14 +27,34 @@ struct PerfModel {
   double mem_bandwidth_gbs = 0.0;  ///< for verification passes
   double freq_exponent = 1.0;      ///< eta: rate ∝ (f/f_base)^eta
 
+  /// (f / f_base)^eta: the rate multiplier at clock f. gflops() scales by
+  /// it, and the engines multiply times measured at f by it to normalize
+  /// them to the base clock.
+  [[nodiscard]] double speed_scale(Mhz f, const FrequencyDomain& dom) const;
+  /// (f_base / f)^eta: the multiplier that projects a base-clock duration to
+  /// clock f (energy::time_at_freq). Not 1 / speed_scale() in floating point.
+  [[nodiscard]] double time_scale(Mhz f, const FrequencyDomain& dom) const;
+
+  /// Class k's rate at a clock whose speed_scale() is `speed`.
+  [[nodiscard]] double gflops_at(KernelClass k, double speed) const;
   [[nodiscard]] double gflops(KernelClass k, Mhz f, const FrequencyDomain& dom) const;
+
+  /// Verification bandwidth (bytes per second) at clock f; it scales weakly
+  /// with clock (the memory system is mostly independent of it).
+  [[nodiscard]] double verify_bandwidth(Mhz f, const FrequencyDomain& dom) const;
+
+  /// Duration of `flops` floating-point operations at `gflops` GFLOP/s.
+  [[nodiscard]] static SimTime time_at_rate(double flops, double gflops);
+  /// Duration of a pass over `bytes` at `bytes_per_s`.
+  [[nodiscard]] static SimTime time_at_bandwidth(double bytes,
+                                                 double bytes_per_s);
 
   /// Duration of `flops` floating-point operations of class k at clock f.
   [[nodiscard]] SimTime time_for_flops(double flops, KernelClass k, Mhz f,
                                        const FrequencyDomain& dom) const;
 
-  /// Duration of a bandwidth-bound pass over `bytes` (verification); bandwidth
-  /// scales weakly with clock (memory system is mostly independent).
+  /// Duration of a bandwidth-bound pass over `bytes` (verification) at
+  /// clock f.
   [[nodiscard]] SimTime time_for_bytes(double bytes, Mhz f,
                                        const FrequencyDomain& dom) const;
 };

@@ -2,6 +2,17 @@
 
 namespace bsr::hw {
 
+double DeviceModel::halted_idle_power(Mhz current) const {
+  // Race-to-Halt's drop to the floor state is hardware-governed: the
+  // governor needs to observe idleness and step the clock down, so a
+  // fraction of every slack period still burns current-clock idle power.
+  // Explicit DVFS (SR/BSR) does not pay this, which is one reason slack
+  // reclamation beats R2H in the paper's measurements.
+  constexpr double kGovernorReactionFraction = 0.35;
+  return kGovernorReactionFraction * idle_power(current) +
+         (1.0 - kGovernorReactionFraction) * idle_power(freq.min_mhz);
+}
+
 PlatformProfile PlatformProfile::paper_default() {
   PlatformProfile p;
 

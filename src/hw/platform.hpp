@@ -38,6 +38,11 @@ struct DeviceModel {
   [[nodiscard]] double idle_power(Mhz f) const {
     return power.idle_power(f, freq);
   }
+  /// Idle power of a lane whose strategy "halted" it (Race-to-Halt): the
+  /// drop to the floor state is hardware-governed, so a fraction of every
+  /// slack period still burns current-clock idle power while the governor
+  /// observes idleness. Both engines charge halted lanes through it.
+  [[nodiscard]] double halted_idle_power(Mhz current) const;
   [[nodiscard]] double efficiency_gflops_per_watt(Mhz f, Guardband g) const {
     return perf.gflops(KernelClass::Blas3, f, freq) / busy_power(f, g);
   }

@@ -5,7 +5,7 @@
 namespace bsr::predict {
 
 void SlackPredictor::record(OpKind op, int k, double seconds) {
-  assert(k >= 0 && k < model_.num_iterations());
+  assert(k >= 0 && k < table_->num_iterations());
   history_[static_cast<int>(op)][k] = seconds;
 }
 
@@ -13,7 +13,7 @@ double FirstIterationPredictor::predict(OpKind op, int k) const {
   const double t0 = measured(op, 0);
   if (t0 < 0.0) return 0.0;
   if (k == 0) return t0;
-  return model_.complexity_ratio(op, 0, k) * t0;
+  return ratio(op, 0, k) * t0;
 }
 
 double EnhancedPredictor::predict(OpKind op, int k) const {
@@ -27,7 +27,7 @@ double EnhancedPredictor::predict(OpKind op, int k) const {
     const double t = measured(op, k - i);
     if (t < 0.0) continue;
     const double w = weights_[i - 1];
-    acc += w * model_.complexity_ratio(op, k - i, k) * t;
+    acc += w * ratio(op, k - i, k) * t;
     weight_sum += w;
   }
   if (weight_sum <= 0.0) {
@@ -35,7 +35,7 @@ double EnhancedPredictor::predict(OpKind op, int k) const {
     // point anywhere in the history.
     for (int j = k - 1; j >= 0; --j) {
       const double t = measured(op, j);
-      if (t >= 0.0) return model_.complexity_ratio(op, j, k) * t;
+      if (t >= 0.0) return ratio(op, j, k) * t;
     }
     return 0.0;
   }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "predict/workload.hpp"
@@ -22,12 +23,18 @@
 namespace bsr::predict {
 
 /// Common interface: strategies record each op's measured duration after the
-/// iteration completes and ask for the next iteration's prediction.
+/// iteration completes and ask for the next iteration's prediction. The
+/// complexity ratios come from a WorkloadTable, which every predictor of a
+/// run may share.
 class SlackPredictor {
  public:
-  explicit SlackPredictor(const WorkloadModel& model) : model_(model) {
-    for (auto& h : history_) h.assign(model.num_iterations(), -1.0);
+  explicit SlackPredictor(std::shared_ptr<const WorkloadTable> table)
+      : table_(std::move(table)) {
+    for (auto& h : history_) h.assign(table_->num_iterations(), -1.0);
   }
+  /// A predictor with a table of its own.
+  explicit SlackPredictor(const WorkloadModel& model)
+      : SlackPredictor(std::make_shared<const WorkloadTable>(model)) {}
   virtual ~SlackPredictor() = default;
 
   /// Records the profiled duration (seconds) of op at iteration k, normalized
@@ -40,14 +47,17 @@ class SlackPredictor {
   /// preferred profile points are missing. Returns 0 when nothing is known.
   [[nodiscard]] virtual double predict(OpKind op, int k) const = 0;
 
-  [[nodiscard]] const WorkloadModel& model() const { return model_; }
+  [[nodiscard]] const WorkloadModel& model() const { return table_->model(); }
 
  protected:
   [[nodiscard]] double measured(OpKind op, int k) const {
     return history_[static_cast<int>(op)][k];
   }
+  [[nodiscard]] double ratio(OpKind op, int j, int k) const {
+    return table_->complexity_ratio(op, j, k);
+  }
 
-  WorkloadModel model_;
+  std::shared_ptr<const WorkloadTable> table_;
   std::array<std::vector<double>, kNumOpKinds> history_;
 };
 
@@ -59,6 +69,11 @@ class FirstIterationPredictor final : public SlackPredictor {
 
 class EnhancedPredictor final : public SlackPredictor {
  public:
+  explicit EnhancedPredictor(std::shared_ptr<const WorkloadTable> table,
+                             int p = 4,
+                             std::array<double, 4> weights = {0.5, 0.25, 0.125,
+                                                              0.125})
+      : SlackPredictor(std::move(table)), p_(p), weights_(weights) {}
   explicit EnhancedPredictor(const WorkloadModel& model,
                              int p = 4,
                              std::array<double, 4> weights = {0.5, 0.25, 0.125,

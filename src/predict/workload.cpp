@@ -95,24 +95,35 @@ double WorkloadModel::total_flops() const {
   return 0.0;
 }
 
-double WorkloadModel::op_complexity(OpKind op, int k) const {
-  const IterationWork w = iteration(k);
+double IterationWork::complexity(OpKind op) const {
   switch (op) {
-    case OpKind::PD: return w.pd_flops;
-    case OpKind::PU: return w.pu_flops;
-    case OpKind::TMU: return w.tmu_flops;
-    case OpKind::Transfer: return w.transfer_bytes;
-    case OpKind::ChecksumUpdate: return w.checksum_update_flops_single;
-    case OpKind::ChecksumVerify: return w.checksum_verify_bytes_single;
+    case OpKind::PD: return pd_flops;
+    case OpKind::PU: return pu_flops;
+    case OpKind::TMU: return tmu_flops;
+    case OpKind::Transfer: return transfer_bytes;
+    case OpKind::ChecksumUpdate: return checksum_update_flops_single;
+    case OpKind::ChecksumVerify: return checksum_verify_bytes_single;
   }
   return 0.0;
 }
 
-double WorkloadModel::complexity_ratio(OpKind op, int j, int k) const {
-  const double cj = op_complexity(op, j);
-  const double ck = op_complexity(op, k);
+double complexity_ratio(double cj, double ck) {
   if (cj <= 0.0) return 1.0;
   return ck / cj;
+}
+
+double WorkloadModel::op_complexity(OpKind op, int k) const {
+  return iteration(k).complexity(op);
+}
+
+double WorkloadModel::complexity_ratio(OpKind op, int j, int k) const {
+  return predict::complexity_ratio(op_complexity(op, j), op_complexity(op, k));
+}
+
+WorkloadTable::WorkloadTable(const WorkloadModel& model) : model_(model) {
+  const int iters = model.num_iterations();
+  rows_.reserve(static_cast<std::size_t>(std::max(iters, 0)));
+  for (int k = 0; k < iters; ++k) rows_.push_back(model.iteration(k));
 }
 
 }  // namespace bsr::predict

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace bsr::predict {
 
@@ -45,7 +46,15 @@ struct IterationWork {
   double checksum_verify_bytes_full = 0.0;
 
   [[nodiscard]] double gpu_flops() const { return pu_flops + tmu_flops; }
+
+  /// The complexity of `op` in this iteration: the field Table 2's ratios
+  /// compare.
+  [[nodiscard]] double complexity(OpKind op) const;
 };
+
+/// r = ck / cj, the ratio of an op's complexities at two iterations; 1 when
+/// the op has no complexity at j.
+[[nodiscard]] double complexity_ratio(double cj, double ck);
 
 struct WorkloadModel {
   Factorization fact = Factorization::LU;
@@ -71,6 +80,32 @@ struct WorkloadModel {
   /// r^{OP}_{j,k}: ratio of theoretical complexity between iterations j and k
   /// (paper §3.2.1). Returns 1 when the op has zero complexity at j.
   [[nodiscard]] double complexity_ratio(OpKind op, int j, int k) const;
+};
+
+/// One WorkloadModel::iteration(k) row per iteration, built once for a run
+/// and read by both engines and the slack predictors instead of re-deriving
+/// the counts per event. Immutable after construction, so one table may be
+/// shared by every predictor of a run.
+class WorkloadTable {
+ public:
+  explicit WorkloadTable(const WorkloadModel& model);
+
+  [[nodiscard]] const WorkloadModel& model() const { return model_; }
+  [[nodiscard]] int num_iterations() const {
+    return static_cast<int>(rows_.size());
+  }
+  [[nodiscard]] const IterationWork& iteration(int k) const {
+    return rows_[static_cast<std::size_t>(k)];
+  }
+  /// WorkloadModel::complexity_ratio, read from the rows.
+  [[nodiscard]] double complexity_ratio(OpKind op, int j, int k) const {
+    return predict::complexity_ratio(iteration(j).complexity(op),
+                                     iteration(k).complexity(op));
+  }
+
+ private:
+  WorkloadModel model_;
+  std::vector<IterationWork> rows_;
 };
 
 }  // namespace bsr::predict

@@ -8,8 +8,13 @@ HybridPipeline::HybridPipeline(const hw::PlatformProfile& platform,
                                PipelineConfig config)
     : platform_(platform),
       config_(std::move(config)),
+      work_(config_.workload),
       cpu_dvfs_(platform_.cpu.make_dvfs()),
-      gpu_dvfs_(platform_.gpu.make_dvfs()) {
+      gpu_dvfs_(platform_.gpu.make_dvfs()),
+      cpu_clk_(hw::ClockState::at(platform_.cpu, cpu_dvfs_.current())),
+      gpu_clk_(hw::ClockState::at(platform_.gpu, gpu_dvfs_.current())),
+      cpu_clk_mhz_(cpu_dvfs_.current()),
+      gpu_clk_mhz_(gpu_dvfs_.current()) {
   const int iters = num_iterations();
   cpu_noise_.resize(iters, 1.0);
   gpu_noise_.resize(iters, 1.0);
@@ -52,16 +57,20 @@ double HybridPipeline::noise_factor(hw::DeviceId dev, int k) const {
   return dev == hw::DeviceId::Cpu ? cpu_noise_[k] : gpu_noise_[k];
 }
 
-double halted_idle_power(const hw::DeviceModel& dev, hw::Mhz current) {
-  // Race-to-Halt's drop to the floor state is hardware-governed: the
-  // governor needs to observe idleness and step the clock down, so a
-  // fraction of every slack period still burns current-clock idle power.
-  // Explicit DVFS (SR/BSR) does not pay this, which is one reason slack
-  // reclamation beats R2H in the paper's measurements.
-  constexpr double kGovernorReactionFraction = 0.35;
-  return kGovernorReactionFraction * dev.idle_power(current) +
-         (1.0 - kGovernorReactionFraction) *
-             dev.idle_power(dev.freq.min_mhz);
+void HybridPipeline::settle_clock(hw::ClockState& state, hw::Mhz& state_mhz,
+                                  const hw::DeviceModel& dev, hw::Mhz f) {
+  if (f == state_mhz) return;
+  state = hw::ClockState::at(dev, f);
+  state_mhz = f;
+}
+
+TaskDurations HybridPipeline::base_clock_durations(
+    int k, abft::ChecksumMode abft_mode) const {
+  return compute_durations(
+      work_.iteration(k), platform_.link,
+      hw::ClockState::at(platform_.cpu, platform_.cpu.freq.base_mhz),
+      hw::ClockState::at(platform_.gpu, platform_.gpu.freq.base_mhz),
+      abft_mode);
 }
 
 IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d) {
@@ -105,9 +114,11 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
   }
   const hw::Mhz fc = cpu_dvfs_.current();
   const hw::Mhz fg = gpu_dvfs_.current();
+  settle_clock(cpu_clk_, cpu_clk_mhz_, platform_.cpu, fc);
+  settle_clock(gpu_clk_, gpu_clk_mhz_, platform_.gpu, fg);
 
-  TaskDurations t = compute_durations(config_.workload, k, platform_, fc, fg,
-                                      d.abft_mode);
+  TaskDurations t = compute_durations(work_.iteration(k), platform_.link,
+                                      cpu_clk_, gpu_clk_, d.abft_mode);
   // Efficiency drift + noise on the compute lanes (the link is steady).
   t.pd = t.pd * cpu_noise_[k];
   t.pu = t.pu * gpu_noise_[k];
@@ -148,8 +159,7 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
     // The update window runs at fg under the decision's guardband: sample the
     // fault process at the SDC-table rates of that state and resolve the
     // counts against the checksum mode that actually protected the window.
-    const hw::ErrorRates rates =
-        platform_.gpu.errors.rates(fg, d.gpu_guardband);
+    const hw::ErrorRates& rates = gpu_clk_.rates_at(d.gpu_guardband);
     const faultcamp::FaultCounts counts = gpu_faults_.sample(rates, o.pu_tmu);
     o.faults = faultcamp::resolve(counts, o.abft_mode, config_.faults.rollback);
     if (o.faults.corrected() > 0) {
@@ -161,9 +171,7 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
       // The redo re-runs the GPU update (with its checksum pass) at the base
       // clock — the safe, fault-free state, matching the numeric recovery
       // model in core/decomposer.cpp.
-      const sched::TaskDurations redo = compute_durations(
-          config_.workload, k, platform_, platform_.cpu.freq.base_mhz,
-          platform_.gpu.freq.base_mhz, d.abft_mode);
+      const TaskDurations redo = base_clock_durations(k, d.abft_mode);
       rollback = redo.pu + redo.tmu + redo.chk_update + redo.chk_verify;
     }
     o.recovery = correction + rollback;
@@ -175,16 +183,13 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
   o.slack = o.gpu_lane - o.cpu_lane;
 
   // --- Energy integration ----------------------------------------------------
-  const hw::DeviceModel& cpu = platform_.cpu;
   const hw::DeviceModel& gpu = platform_.gpu;
-  const double cpu_busy_p = cpu.power.busy_power(fc, d.cpu_guardband,
-                                                 cpu.guardband, cpu.freq);
-  const double gpu_busy_p = gpu.power.busy_power(fg, d.gpu_guardband,
-                                                 gpu.guardband, gpu.freq);
+  const double cpu_busy_p = cpu_clk_.busy(d.cpu_guardband);
+  const double gpu_busy_p = gpu_clk_.busy(d.gpu_guardband);
   const double cpu_idle_p =
-      d.halt_idle_cpu ? halted_idle_power(cpu, fc) : cpu.idle_power(fc);
+      d.halt_idle_cpu ? cpu_clk_.halted_idle_power : cpu_clk_.idle_power;
   const double gpu_idle_p =
-      d.halt_idle_gpu ? halted_idle_power(gpu, fg) : gpu.idle_power(fg);
+      d.halt_idle_gpu ? gpu_clk_.halted_idle_power : gpu_clk_.idle_power;
 
   // One term per lane segment, added in lane order: regrouping the sum would
   // change the last bits of the energies.
@@ -212,14 +217,8 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
   o.gpu_energy_j += gpu_idle_p * (o.span - o.gpu_lane).seconds();
 
   // --- Base-clock-normalized profiles for the predictors ----------------------
-  const double cpu_scale = std::pow(
-      static_cast<double>(fc) / static_cast<double>(cpu.freq.base_mhz),
-      cpu.perf.freq_exponent);
-  const double gpu_scale = std::pow(
-      static_cast<double>(fg) / static_cast<double>(gpu.freq.base_mhz),
-      gpu.perf.freq_exponent);
-  o.pd_base_s = t.pd.seconds() * cpu_scale;
-  o.pu_tmu_base_s = o.pu_tmu.seconds() * gpu_scale;
+  o.pd_base_s = t.pd.seconds() * cpu_clk_.speed_scale;
+  o.pu_tmu_base_s = o.pu_tmu.seconds() * gpu_clk_.speed_scale;
   o.transfer_s = t.transfer.seconds();
 
   if (config_.variability.enabled) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "common/rng.hpp"
+#include "hw/clock_table.hpp"
 #include "hw/platform.hpp"
 #include "obs/trace.hpp"
 #include "sched/tasks.hpp"
@@ -54,20 +55,11 @@ struct PipelineConfig {
   obs::TraceRecorder* trace = nullptr;
 };
 
-/// Idle power of a lane whose strategy "halted" it (Race-to-Halt): the drop
-/// to the floor state is hardware-governed, so a fraction of every slack
-/// period still burns current-clock idle power while the governor observes
-/// idleness. Shared by the single-node pipeline and the cluster engine so
-/// the two models cannot drift apart.
-double halted_idle_power(const hw::DeviceModel& dev, hw::Mhz current);
-
 class HybridPipeline {
  public:
   HybridPipeline(const hw::PlatformProfile& platform, PipelineConfig config);
 
-  [[nodiscard]] int num_iterations() const {
-    return config_.workload.num_iterations();
-  }
+  [[nodiscard]] int num_iterations() const { return work_.num_iterations(); }
   [[nodiscard]] const predict::WorkloadModel& workload() const {
     return config_.workload;
   }
@@ -90,11 +82,27 @@ class HybridPipeline {
   /// Executes iteration k under the decision; integrates time and energy.
   IterationOutcome run_iteration(int k, const IterationDecision& d);
 
+  /// Model durations of iteration k's tasks with both lanes at their base
+  /// clocks: what a rollback or numeric recovery redoes.
+  [[nodiscard]] TaskDurations base_clock_durations(
+      int k, abft::ChecksumMode abft_mode) const;
+
  private:
+  /// Points `state` at clock f of `dev` when it describes another clock.
+  static void settle_clock(hw::ClockState& state, hw::Mhz& state_mhz,
+                           const hw::DeviceModel& dev, hw::Mhz f);
+
   hw::PlatformProfile platform_;
   PipelineConfig config_;
+  predict::WorkloadTable work_;  ///< one IterationWork row per iteration
   hw::DvfsController cpu_dvfs_;
   hw::DvfsController gpu_dvfs_;
+  // Each lane's clock-dependent model values at its current clock,
+  // recomputed only when the clock changes.
+  hw::ClockState cpu_clk_;
+  hw::ClockState gpu_clk_;
+  hw::Mhz cpu_clk_mhz_ = 0;
+  hw::Mhz gpu_clk_mhz_ = 0;
   SimTime now_;
   std::vector<double> cpu_noise_;  ///< precomputed per-iteration factors
   std::vector<double> gpu_noise_;

@@ -2,22 +2,16 @@
 
 namespace bsr::sched {
 
-TaskDurations compute_durations(const predict::WorkloadModel& wl, int k,
-                                const hw::PlatformProfile& platform,
-                                hw::Mhz cpu_f, hw::Mhz gpu_f,
+TaskDurations compute_durations(const predict::IterationWork& w,
+                                const hw::TransferModel& link,
+                                const hw::ClockState& cpu,
+                                const hw::ClockState& gpu,
                                 abft::ChecksumMode abft_mode) {
-  const predict::IterationWork w = wl.iteration(k);
-  const hw::DeviceModel& cpu = platform.cpu;
-  const hw::DeviceModel& gpu = platform.gpu;
-
   TaskDurations d;
-  d.pd = cpu.perf.time_for_flops(w.pd_flops, hw::KernelClass::Panel, cpu_f,
-                                 cpu.freq);
-  d.pu = gpu.perf.time_for_flops(w.pu_flops, hw::KernelClass::Blas3, gpu_f,
-                                 gpu.freq);
-  d.tmu = gpu.perf.time_for_flops(w.tmu_flops, hw::KernelClass::Blas3, gpu_f,
-                                  gpu.freq);
-  d.transfer = platform.link.time_for_bytes(w.transfer_bytes);
+  d.pd = cpu.time_for_flops(w.pd_flops, hw::KernelClass::Panel);
+  d.pu = gpu.time_for_flops(w.pu_flops, hw::KernelClass::Blas3);
+  d.tmu = gpu.time_for_flops(w.tmu_flops, hw::KernelClass::Blas3);
+  d.transfer = link.time_for_bytes(w.transfer_bytes);
 
   switch (abft_mode) {
     case abft::ChecksumMode::None:
@@ -25,18 +19,14 @@ TaskDurations compute_durations(const predict::WorkloadModel& wl, int k,
       d.chk_verify = SimTime::zero();
       break;
     case abft::ChecksumMode::SingleSide:
-      d.chk_update = gpu.perf.time_for_flops(w.checksum_update_flops_single,
-                                             hw::KernelClass::ChecksumUpdate,
-                                             gpu_f, gpu.freq);
-      d.chk_verify =
-          gpu.perf.time_for_bytes(w.checksum_verify_bytes_single, gpu_f, gpu.freq);
+      d.chk_update = gpu.time_for_flops(w.checksum_update_flops_single,
+                                        hw::KernelClass::ChecksumUpdate);
+      d.chk_verify = gpu.time_for_bytes(w.checksum_verify_bytes_single);
       break;
     case abft::ChecksumMode::Full:
-      d.chk_update = gpu.perf.time_for_flops(w.checksum_update_flops_full,
-                                             hw::KernelClass::ChecksumUpdate,
-                                             gpu_f, gpu.freq);
-      d.chk_verify =
-          gpu.perf.time_for_bytes(w.checksum_verify_bytes_full, gpu_f, gpu.freq);
+      d.chk_update = gpu.time_for_flops(w.checksum_update_flops_full,
+                                        hw::KernelClass::ChecksumUpdate);
+      d.chk_verify = gpu.time_for_bytes(w.checksum_verify_bytes_full);
       break;
   }
   return d;

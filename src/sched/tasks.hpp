@@ -11,6 +11,7 @@
 #include "abft/checksum.hpp"
 #include "common/sim_time.hpp"
 #include "faultcamp/process.hpp"
+#include "hw/clock_table.hpp"
 #include "hw/platform.hpp"
 #include "predict/workload.hpp"
 
@@ -77,10 +78,12 @@ struct IterationOutcome {
   [[nodiscard]] double energy_j() const { return cpu_energy_j + gpu_energy_j; }
 };
 
-/// Computes model durations for iteration k at the given clocks.
-TaskDurations compute_durations(const predict::WorkloadModel& wl, int k,
-                                const hw::PlatformProfile& platform,
-                                hw::Mhz cpu_f, hw::Mhz gpu_f,
+/// Computes model durations of one iteration's work `w`, with each lane at
+/// the clock its ClockState describes.
+TaskDurations compute_durations(const predict::IterationWork& w,
+                                const hw::TransferModel& link,
+                                const hw::ClockState& cpu,
+                                const hw::ClockState& gpu,
                                 abft::ChecksumMode abft_mode);
 
 }  // namespace bsr::sched

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "abft/coverage.hpp"
+#include "hw/clock_table.hpp"
 
 namespace bsr::abft {
 namespace {
@@ -72,6 +75,75 @@ TEST(AdaptiveAbft, CoverageMonotoneInFrequencyChoice) {
       EXPECT_GE(d.coverage, 0.999) << f;
     }
   }
+}
+
+/// Algorithm 1 rebuilt from the public per-scheme coverage functions, each
+/// sum evaluated on its own: the reference the ladder's shared-row steps
+/// must reproduce bit for bit.
+AbftDecision reference_ladder(double fc_desired, hw::Mhz f_desired,
+                              const hw::DeviceModel& dev, double t_base,
+                              std::int64_t blocks) {
+  AbftDecision d;
+  d.freq = dev.freq.clamp(f_desired, /*optimized_guardband=*/true);
+  for (;;) {
+    const hw::ErrorRates rates =
+        dev.errors.rates(d.freq, hw::Guardband::Optimized);
+    if (rates.fault_free()) {
+      d.mode = ChecksumMode::None;
+      d.coverage = 1.0;
+      return d;
+    }
+    const double t = t_base * static_cast<double>(dev.freq.base_mhz) /
+                     static_cast<double>(d.freq);
+    const double single = fc_single(rates, t, blocks);
+    if (single >= fc_desired) {
+      d.mode = ChecksumMode::SingleSide;
+      d.coverage = single;
+      return d;
+    }
+    const double full = fc_full(rates, t, blocks);
+    d.mode = ChecksumMode::Full;
+    d.coverage = full;
+    if (full >= fc_desired || d.freq - dev.freq.step_mhz < dev.freq.min_mhz) {
+      return d;
+    }
+    d.freq -= dev.freq.step_mhz;
+  }
+}
+
+bool same_decision(const AbftDecision& a, const AbftDecision& b) {
+  return std::memcmp(&a.freq, &b.freq, sizeof a.freq) == 0 &&
+         std::memcmp(&a.mode, &b.mode, sizeof a.mode) == 0 &&
+         std::memcmp(&a.coverage, &b.coverage, sizeof a.coverage) == 0;
+}
+
+TEST(AdaptiveAbft, LadderMatchesAReferenceBuiltOnThePublicSums) {
+  int protected_steps = 0;
+  for (const double multiplier : {1.0, 150.0, 225.0}) {
+    hw::DeviceModel dev = gpu();
+    dev.errors = dev.errors.scaled(multiplier);
+    const hw::ClockTable table(dev);
+    for (double t = 1e-4; t < 20.0; t *= 3.1622776601683795) {
+      for (const std::int64_t blocks : {16, 3600, 14400}) {
+        for (hw::Mhz f = 1300; f <= 2200; f += 100) {
+          const AbftDecision want =
+              reference_ladder(0.999999, f, dev, t, blocks);
+          const AbftDecision got = abft_oc(0.999999, f, dev, t, blocks);
+          const AbftDecision from_table =
+              abft_oc(0.999999, f, table, t, blocks);
+          EXPECT_TRUE(same_decision(want, got))
+              << "x" << multiplier << " t=" << t << " S=" << blocks
+              << " f=" << f << ": " << got.freq << " " << got.coverage
+              << " vs " << want.freq << " " << want.coverage;
+          EXPECT_TRUE(same_decision(want, from_table))
+              << "x" << multiplier << " t=" << t << " S=" << blocks
+              << " f=" << f;
+          if (want.mode != ChecksumMode::None) ++protected_steps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(protected_steps, 150);
 }
 
 }  // namespace

@@ -81,6 +81,40 @@ TEST(RunConfig, ValidateRejectsOutOfRangeFields) {
     c.grid_p = 3;
     c.grid_q = 1431655768;
   });
+  // Run size: n + b - 1 would overflow here, and ceil(n / b) is far above
+  // the iteration bound either way.
+  expect_invalid([](RunConfig& c) {
+    c.n = std::numeric_limits<std::int64_t>::max();
+  });
+  expect_invalid([](RunConfig& c) {
+    c.n = std::numeric_limits<std::int64_t>::max();
+    c.b = std::numeric_limits<std::int64_t>::max() - 1;  // 2 iterations
+    c.mode = ExecutionMode::Numeric;
+  });
+  expect_invalid([](RunConfig& c) {  // 4097 iterations
+    c.n = 4097;
+    c.b = 1;
+  });
+  expect_invalid([](RunConfig& c) { c.n = 2097153; });  // auto b = 512
+  expect_invalid([](RunConfig& c) {
+    c.n = 8193;
+    c.mode = ExecutionMode::Numeric;
+  });
+}
+
+TEST(RunConfig, ValidateAcceptsRunsAtTheSizeBounds) {
+  RunConfig cfg;
+  cfg.n = 4096;
+  cfg.b = 1;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg = RunConfig{};
+  cfg.n = 2097152;  // auto b = 512: exactly 4096 iterations
+  EXPECT_EQ(cfg.block(), 512);
+  EXPECT_NO_THROW(cfg.validate());
+  cfg = RunConfig{};
+  cfg.n = 8192;
+  cfg.mode = ExecutionMode::Numeric;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(RunConfig, ValidateMessageNamesTheField) {

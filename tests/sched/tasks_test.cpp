@@ -11,6 +11,15 @@ predict::WorkloadModel lu() {
   return {predict::Factorization::LU, 30720, 512, 8};
 }
 
+/// Iteration k of `wl` with the CPU at cpu_f and the GPU at gpu_f.
+TaskDurations compute_durations(const predict::WorkloadModel& wl, int k,
+                                const hw::PlatformProfile& p, hw::Mhz cpu_f,
+                                hw::Mhz gpu_f, abft::ChecksumMode mode) {
+  return sched::compute_durations(wl.iteration(k), p.link,
+                                  hw::ClockState::at(p.cpu, cpu_f),
+                                  hw::ClockState::at(p.gpu, gpu_f), mode);
+}
+
 TEST(Tasks, DurationsArePositiveEarly) {
   const TaskDurations d = compute_durations(lu(), 0, platform(), 3500, 1300,
                                             abft::ChecksumMode::None);

@@ -378,11 +378,18 @@ TEST(ServerTest, BadRequestsAnswerOkFalseAndKeepTheConnectionUsable) {
     EXPECT_FALSE(bad.at("ok").as_bool()) << config;
     EXPECT_FALSE(bad.at("retry").as_bool()) << config;
   }
+  // A run of INT64_MAX rows: refused by the iteration bound before any
+  // engine sizes a trace or a table for it.
+  const JsonValue huge = c.call(run_request(R"({"n":9223372036854775807})"));
+  EXPECT_FALSE(huge.at("ok").as_bool());
+  EXPECT_FALSE(huge.at("retry").as_bool());
+  EXPECT_NE(huge.at("error").as_string().find("iterations"),
+            std::string::npos);
 
   // Same connection still serves good requests afterwards.
   const JsonValue good = c.call(R"({"op":"stats"})");
   EXPECT_TRUE(good.at("ok").as_bool());
-  EXPECT_EQ(good.at("bad_requests").to_int64(), 6);
+  EXPECT_EQ(good.at("bad_requests").to_int64(), 7);
   EXPECT_EQ(ts.executions.load(), 0);
   ts.server->stop();
 }
