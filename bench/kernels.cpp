@@ -205,7 +205,9 @@ BENCHMARK(BM_AbftOc);
 // engine — config expansion, fingerprinting, cluster event simulation, and
 // aggregation. A fresh Sweep is built every iteration because the result
 // cache would otherwise serve every repeat for free; unique_runs counts what
-// was actually simulated.
+// was actually simulated. One thread, so the rate divides cells by the CPU
+// time that simulated them: on the shared pool the benchmark thread's CPU
+// time is mostly waiting.
 void BM_ClusterSweep(benchmark::State& state) {
   std::int64_t cells = 0;
   for (auto _ : state) {
@@ -215,7 +217,8 @@ void BM_ClusterSweep(benchmark::State& state) {
     Sweep sweep(base);
     sweep.over(trial_axis(2, /*root_seed=*/99))
         .over(devices_axis({1, 4, 8}))
-        .over(strategy_axis({"original", "bsr"}));
+        .over(strategy_axis({"original", "bsr"}))
+        .threads(1);
     const SweepResult grid = sweep.run();
     benchmark::DoNotOptimize(&grid);
     cells += grid.unique_runs;
@@ -227,7 +230,7 @@ BENCHMARK(BM_ClusterSweep);
 
 // Fault-campaign throughput: seeded Poisson injection, recovery-cost
 // simulation, and per-cell aggregation on top of the sweep engine. Same
-// fresh-object-per-iteration rule as BM_ClusterSweep.
+// fresh-object-per-iteration and one-thread rules as BM_ClusterSweep.
 void BM_FaultCampaign(benchmark::State& state) {
   std::int64_t runs = 0;
   for (auto _ : state) {
@@ -237,7 +240,8 @@ void BM_FaultCampaign(benchmark::State& state) {
     base.faults = make_faults("poisson");
     FaultCampaign camp(base, /*trials=*/20);
     camp.over(devices_axis({1, 4, 8}))
-        .over(strategy_axis({"original", "bsr"}));
+        .over(strategy_axis({"original", "bsr"}))
+        .threads(1);
     const CampaignResult result = camp.run();
     benchmark::DoNotOptimize(&result);
     runs += result.unique_runs;
@@ -250,8 +254,7 @@ BENCHMARK(BM_FaultCampaign);
 // Rack-scale campaign throughput on the hierarchical cluster path the two
 // counters above never reach: a 2-D process grid, the tree broadcast over
 // intra-node peer links and remote node buses, under hostile variability
-// and Poisson faults. Same fresh-object-per-iteration rule; one thread, so
-// the rate divides runs by the CPU time that simulated them.
+// and Poisson faults. Same fresh-object-per-iteration and one-thread rules.
 void BM_RackCampaign(benchmark::State& state) {
   std::int64_t runs = 0;
   for (auto _ : state) {
@@ -298,8 +301,9 @@ void BM_ReportSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_ReportSerialize);
 
-// One durable-store hit as the daemon takes it: read the record, parse it
-// once, vet it, deserialize the report and re-emit its text.
+// One durable-store hit as the daemon takes it: read the record, vet its
+// envelope and deserialize the report in one pass over the text, and keep
+// the report's own bytes as the reply.
 void BM_StoreHit(benchmark::State& state) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /

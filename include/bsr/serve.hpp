@@ -51,5 +51,5 @@
 //   DiskResultStore / StoreStats        (serve/store.hpp)
 //   Server / ServerConfig / ServeStats  (serve/server.hpp)
 //   Client                              (serve/client.hpp)
-//   serialize_report / deserialize_report / serialize_config /
-//   config_from_json                    (serve/report_json.hpp)
+//   serialize_report / deserialize_report / read_report /
+//   serialize_config / config_from_json (serve/report_json.hpp)

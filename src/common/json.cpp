@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -10,9 +11,6 @@
 namespace bsr {
 
 namespace {
-
-/// Containers nested deeper than this are rejected (see JsonValue::parse).
-constexpr int kMaxDepth = 256;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("json: " + what);
@@ -73,99 +71,53 @@ void append_double(std::string& out, double v) {
   append_chars(out, v);
 }
 
-/// Recursive-descent parser over a string_view with an explicit cursor.
-class Parser {
+/// JsonValue::parse's tree, built over a JsonCursor.
+class TreeBuilder {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit TreeBuilder(std::string_view text) : cursor_(text) {}
 
   JsonValue run() {
-    skip_ws();
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail_at("trailing characters", pos_);
+    JsonValue v = value();
+    cursor_.finish();
     return v;
   }
 
  private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
+  JsonValue value() {
+    const JsonToken t = cursor_.token();
+    switch (t.kind) {
+      case JsonValue::Kind::Object: return object();
+      case JsonValue::Kind::Array: return array();
+      case JsonValue::Kind::String:
+        return JsonValue::make_string(std::string(t.text));
+      case JsonValue::Kind::Number:
+        return JsonValue::make_number(std::string(t.text));
+      case JsonValue::Kind::Bool: return JsonValue::make_bool(t.boolean);
+      case JsonValue::Kind::Null: break;
     }
+    return JsonValue::make_null();
   }
 
-  char peek() {
-    if (pos_ >= text_.size()) fail_at("unexpected end of input", pos_);
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail_at(std::string("expected '") + c + "', got '" + text_[pos_] + "'",
-              pos_);
+  JsonValue array() {
+    std::vector<JsonValue> items;
+    if (cursor_.begin_array()) {
+      do {
+        items.push_back(value());
+      } while (cursor_.next_item());
     }
-    ++pos_;
+    return JsonValue::make_array(std::move(items));
   }
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{':
-      case '[': {
-        // Bounded recursion: an untrusted line of 100 000 '[' must throw,
-        // not overflow the stack.
-        if (depth_ == kMaxDepth) {
-          fail_at("nesting deeper than " + std::to_string(kMaxDepth), pos_);
-        }
-        ++depth_;
-        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
-        --depth_;
-        return v;
-      }
-      case '"': return JsonValue::make_string(parse_string());
-      case 't':
-        if (!consume_literal("true")) fail_at("bad literal", pos_);
-        return JsonValue::make_bool(true);
-      case 'f':
-        if (!consume_literal("false")) fail_at("bad literal", pos_);
-        return JsonValue::make_bool(false);
-      case 'n':
-        if (!consume_literal("null")) fail_at("bad literal", pos_);
-        return JsonValue::make_null();
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue::make_object({});
-    }
+  JsonValue object() {
+    if (!cursor_.begin_object()) return JsonValue::make_object({});
     // Members collect in this depth's scratch, then move into a vector of
     // exactly their count: one allocation per object instead of one per
     // doubling, and sibling objects reuse the scratch.
-    auto& members = member_scratch_[static_cast<std::size_t>(depth_)];
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      members.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') break;
-      if (c != ',') fail_at("expected ',' or '}' in object", pos_ - 1);
-    }
+    auto& members = member_scratch_[static_cast<std::size_t>(cursor_.depth())];
+    do {
+      std::string key(cursor_.key());
+      members.emplace_back(std::move(key), value());
+    } while (cursor_.next_member());
     std::vector<std::pair<std::string, JsonValue>> exact(
         std::make_move_iterator(members.begin()),
         std::make_move_iterator(members.end()));
@@ -173,144 +125,141 @@ class Parser {
     return JsonValue::make_object(std::move(exact));
   }
 
-  JsonValue parse_array() {
-    expect('[');
-    std::vector<JsonValue> items;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue::make_array(std::move(items));
-    }
-    for (;;) {
-      skip_ws();
-      items.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') break;
-      if (c != ',') fail_at("expected ',' or ']' in array", pos_ - 1);
-    }
-    return JsonValue::make_array(std::move(items));
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      // Copy each run of bytes that need no decoding with one append.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size()) {
-        const char c = text_[pos_];
-        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
-          break;
-        }
-        ++pos_;
-      }
-      out.append(text_, run, pos_ - run);
-      if (pos_ >= text_.size()) fail_at("unterminated string", pos_);
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') fail_at("raw control character in string", pos_ - 1);
-      if (pos_ >= text_.size()) fail_at("unterminated escape", pos_);
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_unicode_escape(out); break;
-        default: fail_at("bad escape character", pos_ - 1);
-      }
-    }
-  }
-
-  /// Decodes \uXXXX (and a low surrogate when XXXX is a high surrogate) to
-  /// UTF-8 bytes appended to `out`.
-  void append_unicode_escape(std::string& out) {
-    const auto hex4 = [&]() -> unsigned {
-      if (pos_ + 4 > text_.size()) fail_at("truncated \\u escape", pos_);
-      unsigned v = 0;
-      for (int i = 0; i < 4; ++i) {
-        const char c = text_[pos_++];
-        v <<= 4;
-        if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-        else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-        else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-        else fail_at("bad hex digit in \\u escape", pos_ - 1);
-      }
-      return v;
-    };
-    unsigned cp = hex4();
-    if (cp >= 0xD800 && cp <= 0xDBFF) {
-      if (!consume_literal("\\u")) fail_at("unpaired high surrogate", pos_);
-      const unsigned lo = hex4();
-      if (lo < 0xDC00 || lo > 0xDFFF) fail_at("bad low surrogate", pos_);
-      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-      fail_at("unpaired low surrogate", pos_);
-    }
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    const auto digit = [&]() {
-      return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
-    };
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (!digit()) fail_at("bad number", start);
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digit()) fail_at("bad number (no digits after '.')", start);
-      while (digit()) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (!digit()) fail_at("bad number (empty exponent)", start);
-      while (digit()) ++pos_;
-    }
-    return JsonValue::make_number(std::string(text_.substr(start, pos_ - start)));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;  ///< containers open at pos_
+  JsonCursor cursor_;
   /// Per nesting depth, the members of the object being parsed there.
-  std::array<std::vector<std::pair<std::string, JsonValue>>, kMaxDepth + 1>
+  std::array<std::vector<std::pair<std::string, JsonValue>>,
+             JsonCursor::kMaxDepth + 1>
       member_scratch_;
 };
 
 }  // namespace
 
+// ---- JsonCursor -------------------------------------------------------------
+
+void JsonCursor::fail_at(const std::string& what, std::size_t offset) {
+  bsr::fail_at(what, offset);
+}
+
+void JsonCursor::fail_expected(char c) const {
+  fail_at(std::string("expected '") + c + "', got '" + *p_ + "'", offset());
+}
+
+void JsonCursor::skip() {
+  switch (peek()) {
+    case '{':
+      if (begin_object()) {
+        do {
+          (void)key();
+          skip();
+        } while (next_member());
+      }
+      return;
+    case '[':
+      if (begin_array()) {
+        do {
+          skip();
+        } while (next_item());
+      }
+      return;
+    default: (void)token();
+  }
+}
+
+std::string_view JsonCursor::decode(const char* start) {
+  scratch_.assign(start, p_);
+  for (;;) {
+    // Copy each run of bytes that need no decoding with one append.
+    const char* const run = p_;
+    while (p_ != end_) {
+      const char c = *p_;
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        break;
+      }
+      ++p_;
+    }
+    scratch_.append(run, p_);
+    if (p_ == end_) fail_at("unterminated string", offset());
+    const char c = *p_++;
+    if (c == '"') return scratch_;
+    if (c != '\\') fail_at("raw control character in string", offset() - 1);
+    if (p_ == end_) fail_at("unterminated escape", offset());
+    const char esc = *p_++;
+    switch (esc) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      // The writer spells these three otherwise ('/' raw, the other two as
+      // \u0008 and \u000c).
+      case '/': scratch_ += '/'; ++noncanonical_; break;
+      case 'b': scratch_ += '\b'; ++noncanonical_; break;
+      case 'f': scratch_ += '\f'; ++noncanonical_; break;
+      case 'u': append_unicode_escape(); break;
+      default: fail_at("bad escape character", offset() - 1);
+    }
+  }
+}
+
+/// Decodes \uXXXX (and a low surrogate when XXXX is a high surrogate) to
+/// UTF-8 bytes appended to scratch_. The writer escapes only control
+/// characters other than \n, \r and \t this way, as \u00xx in lower case;
+/// any other \u escape counts as noncanonical.
+void JsonCursor::append_unicode_escape() {
+  const std::string_view digits(
+      p_, std::min<std::size_t>(4, static_cast<std::size_t>(end_ - p_)));
+  const auto hex4 = [&]() -> unsigned {
+    if (end_ - p_ < 4) fail_at("truncated \\u escape", offset());
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = *p_++;
+      v <<= 4;
+      if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
+      else fail_at("bad hex digit in \\u escape", offset() - 1);
+    }
+    return v;
+  };
+  unsigned cp = hex4();
+  if (cp >= 0x20 || cp == '\n' || cp == '\r' || cp == '\t' ||
+      digits.find_first_of("ABCDEF") != std::string_view::npos) {
+    ++noncanonical_;
+  }
+  if (cp >= 0xD800 && cp <= 0xDBFF) {
+    if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u') {
+      fail_at("unpaired high surrogate", offset());
+    }
+    p_ += 2;
+    const unsigned lo = hex4();
+    if (lo < 0xDC00 || lo > 0xDFFF) fail_at("bad low surrogate", offset());
+    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+  } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    fail_at("unpaired low surrogate", offset());
+  }
+  std::string& out = scratch_;
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
 // ---- JsonValue --------------------------------------------------------------
 
-JsonValue JsonValue::parse(std::string_view text) { return Parser(text).run(); }
+JsonValue JsonValue::parse(std::string_view text) {
+  return TreeBuilder(text).run();
+}
 
 JsonValue JsonValue::make_bool(bool b) {
   JsonValue v;
@@ -361,18 +310,29 @@ const char* kind_name(JsonValue::Kind k) {
   return "?";
 }
 
+[[noreturn]] void fail_kind(JsonValue::Kind got, JsonValue::Kind want) {
+  fail(std::string("expected ") + kind_name(want) + ", got " +
+       kind_name(got));
+}
+
 void require_kind(JsonValue::Kind got, JsonValue::Kind want) {
-  if (got != want) {
-    fail(std::string("expected ") + kind_name(want) + ", got " +
-         kind_name(got));
-  }
+  if (got != want) fail_kind(got, want);
 }
 }  // namespace
 
-bool JsonValue::as_bool() const {
-  require_kind(kind_, Kind::Bool);
-  return bool_;
+// ---- JsonToken --------------------------------------------------------------
+
+void JsonToken::fail_kind(JsonValue::Kind want) const {
+  bsr::fail_kind(kind, want);
 }
+
+void JsonToken::fail_convert(const char* what, const char* why) const {
+  fail(std::string(what) + " \"" + std::string(text) + "\" " + why);
+}
+
+// ---- JsonValue accessors ----------------------------------------------------
+
+bool JsonValue::as_bool() const { return token().as_bool(); }
 
 const std::string& JsonValue::as_string() const {
   require_kind(kind_, Kind::String);
@@ -384,39 +344,11 @@ const std::string& JsonValue::number_token() const {
   return scalar_;
 }
 
-double JsonValue::to_double() const {
-  require_kind(kind_, Kind::Number);
-  double out = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), out);
-  if (ec != std::errc() || ptr != scalar_.data() + scalar_.size()) {
-    fail("number token \"" + scalar_ + "\" does not parse as double");
-  }
-  return out;
-}
+double JsonValue::to_double() const { return token().to_double(); }
 
-std::int64_t JsonValue::to_int64() const {
-  require_kind(kind_, Kind::Number);
-  std::int64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(scalar_.data(), scalar_.data() + scalar_.size(), out);
-  if (ec != std::errc() || ptr != scalar_.data() + scalar_.size()) {
-    fail("number token \"" + scalar_ + "\" is not an int64");
-  }
-  return out;
-}
+std::int64_t JsonValue::to_int64() const { return token().to_int64(); }
 
-std::uint64_t JsonValue::to_uint64() const {
-  const std::string& token =
-      kind_ == Kind::String ? scalar_ : number_token();
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc() || ptr != token.data() + token.size()) {
-    fail("token \"" + token + "\" is not a uint64");
-  }
-  return out;
-}
+std::uint64_t JsonValue::to_uint64() const { return token().to_uint64(); }
 
 const std::vector<JsonValue>& JsonValue::items() const {
   require_kind(kind_, Kind::Array);

@@ -1,8 +1,11 @@
 #include "serve/report_json.hpp"
 
+#include <bitset>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
@@ -19,10 +22,12 @@ namespace {
 }
 
 // ---- scalar codecs ----------------------------------------------------------
-// A member's C++ type picks its codec: put() writes it, get() reads it back.
-// Enums use the repo's to_string() spellings (ChecksumMode its integer value)
-// and the parsers accept exactly those (registry-key case-insensitivity is a
-// CLI nicety, not a wire-format one — this module only reads its own output).
+// A member's C++ type picks its codec: put() writes it, get() reads it back
+// from a token, which the text reader takes from its cursor and the request
+// reader from a tree (common/json.hpp). Enums use the repo's to_string()
+// spellings (ChecksumMode its integer value) and the parsers accept exactly
+// those (registry-key case-insensitivity is a CLI nicety, not a wire-format
+// one — this module only reads its own output).
 
 void put(JsonWriter& w, bool x) { w.value(x); }
 void put(JsonWriter& w, int x) { w.value(x); }
@@ -38,39 +43,39 @@ void put(JsonWriter& w, faultcamp::ProcessKind x) {
 }
 void put(JsonWriter& w, abft::ChecksumMode x) { w.value(static_cast<int>(x)); }
 
-void get(const JsonValue& v, bool& x) { x = v.as_bool(); }
+void get(const JsonToken& t, bool& x) { x = t.as_bool(); }
 // Refuses rather than narrows: a wrapped value (4294967298 -> 2) would be a
 // different, valid-looking config.
-void get(const JsonValue& v, int& x) {
-  const std::int64_t i = v.to_int64();
+void get(const JsonToken& t, int& x) {
+  const std::int64_t i = t.to_int64();
   if (i < std::numeric_limits<int>::min() ||
       i > std::numeric_limits<int>::max()) {
     fail("integer " + std::to_string(i) + " is out of int range");
   }
   x = static_cast<int>(i);
 }
-void get(const JsonValue& v, std::int64_t& x) { x = v.to_int64(); }
-void get(const JsonValue& v, std::uint64_t& x) { x = v.to_uint64(); }
-void get(const JsonValue& v, double& x) { x = v.to_double(); }
-void get(const JsonValue& v, std::string& x) { x = v.as_string(); }
-void get(const JsonValue& v, SimTime& x) { x = SimTime(v.to_int64()); }
-void get(const JsonValue& v, Factorization& x) {
-  x = core::factorization_from_string(v.as_string());
+void get(const JsonToken& t, std::int64_t& x) { x = t.to_int64(); }
+void get(const JsonToken& t, std::uint64_t& x) { x = t.to_uint64(); }
+void get(const JsonToken& t, double& x) { x = t.to_double(); }
+void get(const JsonToken& t, std::string& x) { x = t.as_string(); }
+void get(const JsonToken& t, SimTime& x) { x = SimTime(t.to_int64()); }
+void get(const JsonToken& t, Factorization& x) {
+  x = core::factorization_from_string(std::string(t.as_string()));
 }
-void get(const JsonValue& v, ExecutionMode& x) {
-  const std::string& s = v.as_string();
+void get(const JsonToken& t, ExecutionMode& x) {
+  const std::string_view s = t.as_string();
   if (s == "TimingOnly") x = ExecutionMode::TimingOnly;
   else if (s == "Numeric") x = ExecutionMode::Numeric;
-  else fail("unknown ExecutionMode \"" + s + "\"");
+  else fail("unknown ExecutionMode \"" + std::string(s) + "\"");
 }
-void get(const JsonValue& v, faultcamp::ProcessKind& x) {
-  const std::string& s = v.as_string();
+void get(const JsonToken& t, faultcamp::ProcessKind& x) {
+  const std::string_view s = t.as_string();
   if (s == "Poisson") x = faultcamp::ProcessKind::Poisson;
   else if (s == "Fixed") x = faultcamp::ProcessKind::Fixed;
-  else fail("unknown ProcessKind \"" + s + "\"");
+  else fail("unknown ProcessKind \"" + std::string(s) + "\"");
 }
-void get(const JsonValue& v, abft::ChecksumMode& x) {
-  const std::int64_t i = v.to_int64();  // None = 0, SingleSide = 1, Full = 2
+void get(const JsonToken& t, abft::ChecksumMode& x) {
+  const std::int64_t i = t.to_int64();  // None = 0, SingleSide = 1, Full = 2
   if (i < 0 || i > 2) fail("ChecksumMode out of range: " + std::to_string(i));
   x = static_cast<abft::ChecksumMode>(i);
 }
@@ -245,18 +250,31 @@ struct AnyField {
   void operator()(std::string_view /*key*/, const auto& /*member*/) const {}
 };
 
+/// Whether a member's key is `key`. Spelled out so that the compare against
+/// a field's literal expands inline instead of calling string_view::compare.
+bool same_key(std::string_view a, std::string_view key) {
+  return a.size() == key.size() &&
+         std::memcmp(a.data(), key.data(), key.size()) == 0;
+}
+
 /// A struct with a field list.
 template <typename T>
 concept Listed = requires(const T& s) { fields(s, AnyField{}); };
+
+/// A member read from one scalar token.
+template <typename T>
+concept Scalar = requires(const JsonToken& t, T& x) { get(t, x); };
 
 template <Listed T>
 void put(JsonWriter& w, const T& s);
 template <typename T>
 void put(JsonWriter& w, const std::vector<T>& xs);
+template <Scalar T>
+void read(JsonCursor& c, T& x);
 template <Listed T>
-void get(const JsonValue& v, T& s);
+void read(JsonCursor& c, T& s);
 template <typename T>
-void get(const JsonValue& v, std::vector<T>& xs);
+void read(JsonCursor& c, std::vector<T>& xs);
 
 /// Writes each member it visits as "key":value.
 struct Writer {
@@ -264,14 +282,6 @@ struct Writer {
   void operator()(std::string_view key, const auto& member) const {
     w.key(key);
     put(w, member);
-  }
-};
-
-/// Reads each member it visits from `v`, where its key must be present.
-struct Reader {
-  const JsonValue& v;
-  void operator()(std::string_view key, auto& member) const {
-    get(v.at(std::string(key)), member);
   }
 };
 
@@ -289,34 +299,111 @@ void put(JsonWriter& w, const std::vector<T>& xs) {
   w.arr_close();
 }
 
-/// The strict report reader: every listed key must be present.
+/// The text reader: fills the members `list` names from the object at the
+/// cursor, where list(visit) calls visit(key, member) for each member in
+/// writer order (at most 64). Writer output is read in one pass: each key
+/// is compared with the one the writer puts there, and its value converts
+/// straight into the member. From the first key out of that order, each
+/// key is looked up in the list instead. Either way the first occurrence of
+/// a key wins; unknown and repeated members are skipped, their syntax still
+/// checked; and a listed key that never appears throws.
+template <typename List>
+void read_object(JsonCursor& c, const List& list) {
+  std::bitset<64> seen;  // set() throws for a list longer than 64
+  std::size_t count = 0;
+  bool more = c.begin_object();
+  bool in_order = true;
+  std::optional<std::string_view> stray;  // the first key out of order
+  list([&](std::string_view key, auto& member) {
+    const std::size_t i = count++;
+    if (!in_order || !more) {
+      in_order = false;
+      return;
+    }
+    const std::string_view k = c.key();
+    if (!same_key(k, key)) {
+      in_order = false;
+      stray = k;
+      return;
+    }
+    read(c, member);
+    seen.set(i);
+    more = c.next_member();
+  });
+  // Reads the value of member `k` into the first listed member of that
+  // name not read yet, or skips it.
+  const auto place = [&](std::string_view k) {
+    bool placed = false;
+    std::size_t i = 0;
+    list([&](std::string_view key, auto& member) {
+      const std::size_t at = i++;
+      if (placed || !same_key(k, key)) return;
+      placed = true;
+      if (seen.test(at)) {
+        c.skip();
+        return;
+      }
+      read(c, member);
+      seen.set(at);
+    });
+    if (!placed) c.skip();
+  };
+  if (stray.has_value()) {
+    place(*stray);
+    more = c.next_member();
+  }
+  for (; more; more = c.next_member()) place(c.key());
+  if (seen.count() == count) return;
+  std::size_t i = 0;
+  list([&](std::string_view key, const auto& /*member*/) {
+    if (!seen.test(i++)) fail("missing member \"" + std::string(key) + "\"");
+  });
+}
+
+template <Scalar T>
+void read(JsonCursor& c, T& x) {
+  get(c.token(), x);
+}
+
 template <Listed T>
-void get(const JsonValue& v, T& s) {
-  fields(s, Reader{v});
+void read(JsonCursor& c, T& s) {
+  read_object(c, [&s](auto&& visit) { fields(s, visit); });
 }
 
 template <typename T>
-void get(const JsonValue& v, std::vector<T>& xs) {
-  for (const JsonValue& x : v.items()) get(x, xs.emplace_back());
+void read(JsonCursor& c, std::vector<T>& xs) {
+  if (!c.begin_array()) return;
+  do {
+    read(c, xs.emplace_back());
+  } while (c.next_item());
 }
 
 /// The lenient request reader. Request configs are hand-written, so an absent
 /// key keeps its default, in nested blocks too; but an unknown key throws
 /// (`what` names the block), and a repeated key replaces its earlier value.
 template <Listed T>
+void get_lenient(const JsonValue& v, T& s, const std::string& what);
+
+/// One request member into `member`: a nested block from its defaults. A
+/// function of its own, so that the key search below inlines.
+template <typename T>
+void read_lenient(const JsonValue& v, T& member, const std::string& key) {
+  if constexpr (Listed<T>) {
+    member = {};
+    get_lenient(v, member, key);
+  } else {
+    get(v.token(), member);
+  }
+}
+
+template <Listed T>
 void get_lenient(const JsonValue& v, T& s, const std::string& what) {
-  for (const auto& entry : v.members()) {
-    const std::string& key = entry.first;
+  for (const auto& [key, value] : v.members()) {
     bool known = false;
     fields(s, [&](std::string_view k, auto& member) {
-      if (known || key != k) return;
+      if (known || !same_key(key, k)) return;
       known = true;
-      if constexpr (Listed<std::remove_reference_t<decltype(member)>>) {
-        member = {};
-        get_lenient(entry.second, member, key);
-      } else {
-        get(entry.second, member);
-      }
+      read_lenient(value, member, key);
     });
     if (!known) fail("unknown " + what + " field \"" + key + "\"");
   }
@@ -326,54 +413,58 @@ void get_lenient(const JsonValue& v, T& s, const std::string& what) {
 // A report echoes the paper's per-run knobs of the config it ran, with the
 // strategy in its StrategyKind spelling; the other RunConfig fields are not
 // stored and read back as defaults. The echo is frozen at these 14 keys, so
-// it stays a hand-written pair over the scalar codecs and the spec lists.
+// it has its own hand-written list over the scalar codecs and the spec
+// lists, with a stand-in for the strategy.
 
-/// The strategies() key of a StrategyKind spelling (each lowercases to it).
-std::string strategy_key_from(const std::string& s) {
-  if (s == "Original" || s == "R2H" || s == "SR" || s == "BSR") {
-    return ascii_lower(s);
+void options_fields(Of<RunConfig> auto& c, auto& strategy, auto&& visit) {
+  visit("factorization", c.factorization);
+  visit("n", c.n);
+  visit("b", c.b);
+  visit("strategy", strategy);
+  visit("reclamation_ratio", c.reclamation_ratio);
+  visit("fc_desired", c.fc_desired);
+  visit("mode", c.mode);
+  visit("seed", c.seed);
+  visit("error_rate_multiplier", c.error_rate_multiplier);
+  visit("noise_enabled", c.noise_enabled);
+  visit("elem_bytes", c.elem_bytes);
+  visit("recover_uncorrectable", c.recover_uncorrectable);
+  visit("variability", c.variability);
+  visit("faults", c.faults);
+}
+
+/// The strategy as the echo reads it: a StrategyKind spelling, stored as
+/// the strategies() key it lowercases to.
+struct StrategyEcho {
+  std::string& key;
+};
+
+void get(const JsonToken& t, StrategyEcho& x) {
+  const std::string_view s = t.as_string();
+  if (s != "Original" && s != "R2H" && s != "SR" && s != "BSR") {
+    fail("unknown StrategyKind \"" + std::string(s) + "\"");
   }
-  fail("unknown StrategyKind \"" + s + "\"");
+  x.key = ascii_lower(std::string(s));
 }
 
 void write_options(JsonWriter& w, const RunConfig& c) {
-  const Writer field{w};
+  const std::string strategy = core::strategy_kind_name(c);
   w.obj_open();
-  field("factorization", c.factorization);
-  field("n", c.n);
-  field("b", c.b);
-  w.key("strategy").value(core::strategy_kind_name(c));
-  field("reclamation_ratio", c.reclamation_ratio);
-  field("fc_desired", c.fc_desired);
-  field("mode", c.mode);
-  field("seed", c.seed);
-  field("error_rate_multiplier", c.error_rate_multiplier);
-  field("noise_enabled", c.noise_enabled);
-  field("elem_bytes", c.elem_bytes);
-  field("recover_uncorrectable", c.recover_uncorrectable);
-  field("variability", c.variability);
-  field("faults", c.faults);
+  options_fields(c, strategy, Writer{w});
   w.obj_close();
 }
 
-RunConfig read_options(const JsonValue& v) {
-  RunConfig c;
-  const Reader field{v};
-  field("factorization", c.factorization);
-  field("n", c.n);
-  field("b", c.b);
-  c.strategy = strategy_key_from(v.at("strategy").as_string());
-  field("reclamation_ratio", c.reclamation_ratio);
-  field("fc_desired", c.fc_desired);
-  field("mode", c.mode);
-  field("seed", c.seed);
-  field("error_rate_multiplier", c.error_rate_multiplier);
-  field("noise_enabled", c.noise_enabled);
-  field("elem_bytes", c.elem_bytes);
-  field("recover_uncorrectable", c.recover_uncorrectable);
-  field("variability", c.variability);
-  field("faults", c.faults);
-  return c;
+/// The report's "options" member, read into its config.
+struct OptionsEcho {
+  RunConfig& config;
+};
+
+void read(JsonCursor& c, OptionsEcho& options) {
+  RunConfig& config = options.config;
+  StrategyEcho strategy{config.strategy};
+  read_object(c, [&](auto&& visit) {
+    options_fields(config, strategy, visit);
+  });
 }
 
 }  // namespace
@@ -390,15 +481,21 @@ std::string serialize_report(const core::RunReport& report) {
   return w.take();
 }
 
-core::RunReport deserialize_report(const JsonValue& value) {
+core::RunReport read_report(JsonCursor& cursor) {
   core::RunReport r;
-  r.config = read_options(value.at("options"));
-  get(value, r);
+  OptionsEcho options{r.config};
+  read_object(cursor, [&](auto&& visit) {
+    visit("options", options);
+    fields(r, visit);
+  });
   return r;
 }
 
 core::RunReport deserialize_report(const std::string& json) {
-  return deserialize_report(JsonValue::parse(json));
+  JsonCursor cursor(json);
+  core::RunReport r = read_report(cursor);
+  cursor.finish();
+  return r;
 }
 
 // ---- RunConfig --------------------------------------------------------------

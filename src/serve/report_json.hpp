@@ -19,9 +19,10 @@
 // Each wire struct (RunConfig, its variability and faults blocks, and every
 // report struct) has one field list in report_json.cpp, and a field's wire
 // name lives there and nowhere else: the writer, the strict report reader
-// and the lenient request reader are all generated from it, with the
+// (straight from the text, over a JsonCursor) and the lenient request
+// reader (over a JsonValue tree) are all generated from it, with the
 // member's C++ type picking its codec. Only the report's frozen "options"
-// echo is written out by hand. A new RunConfig field therefore needs one
+// echo has a hand-written list. A new RunConfig field therefore needs one
 // line in RunConfig's list, plus its checks in RunConfig::validate() and
 // its spelling in RunConfig::fingerprint();
 // ConfigJson.EverySerializedFieldReachesTheFingerprint fails until the
@@ -40,12 +41,15 @@ namespace bsr::serve {
 /// iteration trace, device_usage, lane_faults, and every other field).
 std::string serialize_report(const core::RunReport& report);
 
-/// Rebuilds a report from serialize_report() output. Throws
-/// std::runtime_error ("json: ..." or "report_json: ...") on malformed or
-/// schema-incompatible input — callers at the store boundary catch and
-/// treat it as a miss.
-core::RunReport deserialize_report(const JsonValue& value);
+/// Rebuilds a report from serialize_report() output, reading the text once
+/// with no tree in between. Throws std::runtime_error ("json: ..." or
+/// "report_json: ...") on malformed or schema-incompatible input — callers
+/// at the store boundary catch and treat it as a miss.
 core::RunReport deserialize_report(const std::string& json);
+
+/// deserialize_report() of the value at `cursor`, which is left just past
+/// it: how a store record's report is read in place.
+core::RunReport read_report(JsonCursor& cursor);
 
 /// Deterministic compact JSON for one RunConfig, inverse of
 /// config_from_json (field names match the RunConfig members).

@@ -9,8 +9,10 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "serve/report_json.hpp"
 
@@ -69,6 +71,69 @@ std::optional<std::string> read_file(const std::string& path) {
   return bytes;
 }
 
+[[noreturn]] void missing(const char* key) {
+  throw std::runtime_error(std::string("missing member \"") + key + "\"");
+}
+
+/// The record in `bytes` for `fingerprint`, read with one cursor pass. The
+/// envelope's members may come in any order, the first of each name counts
+/// and others are skipped, but the whole record must be valid JSON. The
+/// report is deserialized in place, and its text is served as it lies in
+/// the record: writer output is exactly what JsonValue::dump() would give.
+/// Only a report holding whitespace between tokens or an escape the writer
+/// never spells is re-emitted through a tree, so every record yields the
+/// bytes a tree would.
+StoredRecord read_record(std::string bytes, const std::string& fingerprint) {
+  JsonCursor c(bytes);
+  bool schema_read = false;
+  bool fingerprint_read = false;
+  std::optional<core::RunReport> report;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  bool verbatim = false;
+  for (bool more = c.begin_object(); more; more = c.next_member()) {
+    const std::string_view key = c.key();
+    if (key == "schema" && !schema_read) {
+      schema_read = true;
+      const std::int64_t version = c.token().to_int64();
+      if (version != DiskResultStore::kSchemaVersion) {
+        throw std::runtime_error(
+            "schema version " + std::to_string(version) +
+            ", this build reads " +
+            std::to_string(DiskResultStore::kSchemaVersion));
+      }
+    } else if (key == "fingerprint" && !fingerprint_read) {
+      fingerprint_read = true;
+      if (c.token().as_string() != fingerprint) {
+        throw std::runtime_error("fingerprint mismatch");
+      }
+    } else if (key == "report" && !report.has_value()) {
+      (void)c.peek();
+      begin = c.offset();
+      const std::size_t noncanonical = c.noncanonical();
+      report = read_report(c);
+      end = c.offset();
+      verbatim = c.noncanonical() == noncanonical;
+    } else {
+      c.skip();
+    }
+  }
+  c.finish();
+  if (!schema_read) missing("schema");
+  if (!fingerprint_read) missing("fingerprint");
+  if (!report.has_value()) missing("report");
+  StoredRecord out{{}, std::move(*report)};
+  if (verbatim) {
+    bytes.resize(end);
+    bytes.erase(0, begin);
+    out.json = std::move(bytes);
+  } else {
+    const std::string_view span(bytes.data() + begin, end - begin);
+    out.json = JsonValue::parse(span).dump();
+  }
+  return out;
+}
+
 }  // namespace
 
 DiskResultStore::DiskResultStore(std::string dir) : dir_(std::move(dir)) {
@@ -94,20 +159,7 @@ std::optional<StoredRecord> DiskResultStore::load_record(
   }
   // Anything unexpected, the report's own schema included, is a loud reject.
   try {
-    const JsonValue record = JsonValue::parse(*bytes);
-    const std::int64_t schema = record.at("schema").to_int64();
-    if (schema != kSchemaVersion) {
-      throw std::runtime_error("schema version " + std::to_string(schema) +
-                               ", this build reads " +
-                               std::to_string(kSchemaVersion));
-    }
-    if (record.at("fingerprint").as_string() != fingerprint) {
-      throw std::runtime_error("fingerprint mismatch");
-    }
-    const JsonValue& report = record.at("report");
-    StoredRecord out{{}, deserialize_report(report)};
-    out.json.reserve(bytes->size());  // the report is part of the record
-    report.dump_to(out.json);
+    StoredRecord out = read_record(std::move(*bytes), fingerprint);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
     return out;

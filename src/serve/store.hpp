@@ -8,13 +8,15 @@
 //
 // written to a ".tmp" sibling and atomically renamed into place, so readers
 // (including concurrent daemons sharing the directory) never observe a
-// half-written record. The filename is a hash, not the fingerprint itself
-// (fingerprints contain '/' and are unbounded in length); the fingerprint
-// inside the record is authoritative, and a mismatch — a hash collision or
-// a copied-in foreign record — is rejected like corruption. Rejections are
-// LOUD misses: a warning on stderr, a bump of stats().rejected, and nullptr
-// back to the caller, never a crash and never a silently-served wrong
-// result. Bumping the schema version invalidates old records the same way.
+// half-written record, even from a writer killed mid-save
+// (DiskResultStore.SigkillMidSaveLeavesTheOldOrTheNewRecord). The filename
+// is a hash, not the fingerprint itself (fingerprints contain '/' and are
+// unbounded in length); the fingerprint inside the record is authoritative,
+// and a mismatch — a hash collision or a copied-in foreign record — is
+// rejected like corruption. Rejections are LOUD misses: a warning on
+// stderr, a bump of stats().rejected, and nullptr back to the caller, never
+// a crash and never a silently-served wrong result. Bumping the schema
+// version invalidates old records the same way.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +38,15 @@ struct StoreStats {
   std::uint64_t saves = 0;     ///< records written
 };
 
-/// One valid record, read and parsed once.
+/// One valid record, read in one pass over its text.
 struct StoredRecord {
-  /// The record's "report" re-emitted (JsonValue::dump), so a store hit
-  /// answers with the bytes the cold run serialized.
+  /// The record's "report" as JsonValue::dump() writes it, so a store hit
+  /// answers with the bytes the cold run serialized: the report's own bytes
+  /// from the record, which for writer output are exactly those, or a
+  /// re-emission through a tree when the report holds whitespace between
+  /// tokens or an escape the writer never spells.
   std::string json;
-  /// The same report deserialized from the same parse.
+  /// The same report, deserialized straight from the record's text.
   core::RunReport report;
 };
 
@@ -54,18 +59,20 @@ class DiskResultStore {
   /// std::runtime_error when the directory cannot be created.
   explicit DiskResultStore(std::string dir);
 
-  /// The one read path: reads the record for `fingerprint` in one read,
-  /// parses it once, vets the envelope (schema, fingerprint) and
-  /// deserializes the report from the same parse. Counts exactly one hit,
-  /// miss or reject; nullopt on a miss or a loud reject (any of: unreadable
-  /// JSON, schema drift, fingerprint mismatch, or a valid envelope around
-  /// a report that does not deserialize).
+  /// The one read path: reads the record for `fingerprint` in one read and
+  /// walks it once with a JsonCursor, building no tree: the whole record
+  /// is checked as JSON, the envelope vetted (schema, fingerprint; in any
+  /// order, the first of each name counting) and the report deserialized
+  /// in place. Counts exactly one hit, miss or reject; nullopt on a miss or
+  /// a loud reject (any of: unreadable JSON, schema drift, fingerprint
+  /// mismatch, or a valid envelope around a report that does not
+  /// deserialize).
   [[nodiscard]] std::optional<StoredRecord> load_record(
       const std::string& fingerprint);
 
-  /// load_record()'s report text; nullptr on miss or loud reject. It pays
-  /// for the deserialization too, so the daemon calls load_record() and
-  /// keeps both halves.
+  /// load_record()'s report text; nullptr on miss or loud reject. The text
+  /// comes from the same pass that deserializes the report, so this costs
+  /// what load_record() costs.
   [[nodiscard]] std::shared_ptr<const std::string> load_serialized(
       const std::string& fingerprint);
 

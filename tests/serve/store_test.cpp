@@ -4,14 +4,20 @@
 #include "serve/store.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "serve/report_json.hpp"
 
 namespace bsr::serve {
@@ -181,6 +187,61 @@ TEST(DiskResultStore, EveryCorruptionClassCountsTheRejectedMetric) {
   const std::shared_ptr<const std::string> ok = store.load_serialized("fp-ok");
   ASSERT_NE(ok, nullptr);
   EXPECT_EQ(*ok, good);
+}
+
+TEST(DiskResultStore, SigkillMidSaveLeavesTheOldOrTheNewRecord) {
+  // A writer process rewrites one record in a loop, alternating two reports,
+  // and is killed at a seeded moment. The rename makes each save atomic, so
+  // every read after a kill finds one of the two reports whole, or nothing
+  // before the first save completed; never a torn record.
+  const std::string dir = fresh_dir("sigkill");
+  const std::string fp = "fp-sigkill";
+  RunConfig sr = small_config();
+  sr.strategy = "sr";
+  const std::string reports[2] = {serialize_report(bsr::run(small_config())),
+                                  serialize_report(bsr::run(sr))};
+  ASSERT_NE(reports[0], reports[1]);
+  DiskResultStore store(dir);
+  Rng rng(20);
+  bool saved = false;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    SCOPED_TRACE(cycle);
+    int started[2];
+    ASSERT_EQ(::pipe(started), 0);
+    const pid_t child = ::fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+      DiskResultStore writer(dir);
+      const char go = 1;
+      (void)!::write(started[1], &go, 1);
+      // Bounded, in case the test process dies before its kill.
+      for (int i = 0; i < 100000; ++i) {
+        writer.save_serialized(fp, reports[i % 2]);
+      }
+      ::_exit(0);
+    }
+    ::close(started[1]);
+    char go = 0;
+    ASSERT_EQ(::read(started[0], &go, 1), 1);
+    ::close(started[0]);
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(rng.next_below(2000)));
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+    const std::optional<StoredRecord> record = store.load_record(fp);
+    if (!record.has_value()) {
+      EXPECT_FALSE(saved) << "a saved record went missing";
+      continue;
+    }
+    saved = true;
+    EXPECT_TRUE(record->json == reports[0] || record->json == reports[1]);
+    EXPECT_EQ(serialize_report(record->report), record->json);
+  }
+  EXPECT_TRUE(saved) << "no save completed in 20 cycles";
+  EXPECT_EQ(store.stats().rejected, 0u);
 }
 
 TEST(DiskResultStore, UnreadableDirectoryThrowsAtConstruction) {

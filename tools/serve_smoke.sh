@@ -3,9 +3,10 @@
 # bsr_served daemon on a scratch Unix socket with a scratch durable store,
 # drives it with bsr_servectl, and asserts the request-path contract —
 # cold run "executed", repeat "memory", byte-identical reports, an oversized
-# request line refused without harm, a clean shutdown, and no leaked socket
-# file. Exits 0 on success, non-zero with the failing step on stderr
-# otherwise.
+# request line refused without harm, a clean shutdown, no leaked socket
+# file, and store hits that answer with the cold bytes, also from a record
+# whose report holds whitespace the writer never puts there. Exits 0 on
+# success, non-zero with the failing step on stderr otherwise.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
 set -u
@@ -124,4 +125,37 @@ RESTART_REPORT="${RESTART#*\"report\":}"
 wait "$SERVED_PID" || fail "daemon exited non-zero after second shutdown"
 SERVED_PID=""
 
-echo "serve_smoke: OK (cold executed, repeat from memory, restart from store)"
+# A space inside the stored report: the record is still valid, but its
+# report text is no longer what the writer produces, so the hit is
+# re-emitted through a tree. The reply must still carry the cold bytes.
+RECORDS=("$STORE"/*.json)
+[ "${#RECORDS[@]}" -eq 1 ] && [ -f "${RECORDS[0]}" ] \
+    || fail "expected one store record, found: ${RECORDS[*]}"
+sed -i 's/"report":{/"report":{ /' "${RECORDS[0]}" \
+    || fail "cannot edit the store record"
+grep -q '"report":{ "' "${RECORDS[0]}" || fail "store record not edited"
+"$SERVED" --socket "$SOCKET" --store "$STORE" --workers 2 &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    [ -S "$SOCKET" ] && break
+    sleep 0.05
+done
+SPACED=$("$SERVECTL" --socket "$SOCKET" --op run --config "$CONFIG") \
+    || fail "run request over the edited record failed"
+echo "$SPACED" | grep -q '"source":"store"' \
+    || fail "edited record not served from the store: $SPACED"
+SPACED_REPORT="${SPACED#*\"report\":}"
+[ "$SPACED_REPORT" = "$COLD_REPORT" ] \
+    || fail "report from the edited record differs from cold report"
+STATS=$("$SERVECTL" --socket "$SOCKET" --op stats) \
+    || fail "stats request failed"
+echo "$STATS" | grep -q '"rejected":0' \
+    || fail "expected store rejected:0: $STATS"
+
+"$SERVECTL" --socket "$SOCKET" --op shutdown >/dev/null \
+    || fail "third shutdown request failed"
+wait "$SERVED_PID" || fail "daemon exited non-zero after third shutdown"
+SERVED_PID=""
+
+echo "serve_smoke: OK (cold executed, repeat from memory, restart from store," \
+     "spaced record from store)"
