@@ -21,7 +21,6 @@
 
 #include "bsr/bsr.hpp"
 #include "energy/baselines.hpp"
-#include "predict/slack_predictor.hpp"
 
 using namespace bsr;
 using predict::OpKind;
@@ -29,8 +28,8 @@ using predict::OpKind;
 namespace {
 
 /// Prediction-error summary of one pipeline trace under one variability
-/// configuration: both predictors fed the same measured profiles, errors
-/// taken on the one-step-ahead prediction of the GPU task (the slack driver).
+/// configuration: the pipeline's history read by both formulas, errors taken
+/// on the one-step-ahead prediction of the GPU task (the slack driver).
 struct PredictionErrors {
   std::vector<double> first;
   std::vector<double> enhanced;
@@ -43,7 +42,7 @@ struct PredictionErrors {
 };
 
 /// Runs the Original-strategy pipeline (base clocks) once and scores both
-/// predictors online. The callback sees each scored iteration (for the
+/// formulas online. The callback sees each scored iteration (for the
 /// default mode's table rows); pass nullptr to skip it.
 PredictionErrors measure(const predict::WorkloadModel& wl,
                          const VariabilityConfig& variability,
@@ -55,9 +54,6 @@ PredictionErrors measure(const predict::WorkloadModel& wl,
   cfg.seed = seed;
   cfg.variability = variability;
   sched::HybridPipeline pipe(make_platform("paper_default"), cfg);
-
-  predict::FirstIterationPredictor first(wl);
-  predict::EnhancedPredictor enhanced(wl);
   energy::OriginalStrategy original;
 
   PredictionErrors errs;
@@ -66,8 +62,8 @@ PredictionErrors measure(const predict::WorkloadModel& wl,
     double pf = 0.0;
     double pe = 0.0;
     if (k >= 1) {
-      pf = first.predict(OpKind::TMU, k);
-      pe = enhanced.predict(OpKind::TMU, k);
+      pf = pipe.history().predict(OpKind::TMU, k, /*enhanced=*/false);
+      pe = pipe.history().predict(OpKind::TMU, k, /*enhanced=*/true);
     }
     const sched::IterationOutcome o =
         pipe.run_iteration(k, original.decide(k, pipe));
@@ -86,10 +82,6 @@ PredictionErrors measure(const predict::WorkloadModel& wl,
                         TablePrinter::pct(ee)});
       }
     }
-    first.record(OpKind::TMU, k, truth);
-    enhanced.record(OpKind::TMU, k, truth);
-    first.record(OpKind::PD, k, o.pd_base_s);
-    enhanced.record(OpKind::PD, k, o.pd_base_s);
   }
   return errs;
 }

@@ -125,9 +125,7 @@ struct StrategyEntry {
   std::optional<core::StrategyKind> kind;
   /// Builds the strategy object for one run; receives the whole RunConfig,
   /// so custom strategies may read any field.
-  std::function<std::unique_ptr<energy::Strategy>(
-      const RunConfig&, const predict::WorkloadModel&)>
-      make;
+  std::function<std::unique_ptr<energy::Strategy>(const RunConfig&)> make;
 };
 
 /// Builds one simulated platform profile (a platforms() registry value).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -12,12 +11,13 @@
 #include "cluster/event_engine.hpp"
 #include "common/rng.hpp"
 #include "hw/clock_table.hpp"
-#include "predict/slack_predictor.hpp"
+#include "predict/slack_history.hpp"
 
 namespace bsr::cluster {
 
 namespace {
 
+using energy::StrategyKind;
 using predict::OpKind;
 
 /// What the strategy decided for one lane of one iteration. The checksum
@@ -50,6 +50,8 @@ struct ClusterEvent {
 
 /// One compute resource: lane 0 is the host, lanes 1..N the accelerators.
 struct Lane {
+  explicit Lane(const predict::WorkloadTable& work) : history(work) {}
+
   int index = 0;  ///< 0 = host, 1 + d = accelerator d (trace lane id)
   const hw::DeviceModel* dev = nullptr;
   const hw::ClockTable* clk = nullptr;  ///< dev's clock table (run-owned)
@@ -59,8 +61,7 @@ struct Lane {
   SimTime busy_until;
   DeviceUsage use;
   std::vector<double> noise;  ///< per-iteration multiplicative factors
-  std::unique_ptr<predict::EnhancedPredictor> enhanced;
-  std::unique_ptr<predict::FirstIterationPredictor> first;
+  predict::SlackHistory history;  ///< base-clock, global-task profiles
   // A retirement park (drop to the floor clock) in flight: the transition
   // window is settled against the makespan at the final barrier, because the
   // run may end mid-transition.
@@ -84,7 +85,7 @@ class ClusterRun {
               options.grid_q},
         // Per-run tables: iteration counts, layout, peer links and clocks
         // are pure functions of (k, d, f), computed once here.
-        work_(std::make_shared<const predict::WorkloadTable>(workload)),
+        work_(workload),
         layout_(dist_, workload),
         peers_(profile.links, profile.num_devices()),
         iters_(workload.num_iterations()),
@@ -104,20 +105,23 @@ class ClusterRun {
         // critical path entirely; the relay schedule keeps the legacy
         // host-staged pipeline as the comparison baseline.
         device_pd_(profile.links.hierarchical() &&
-                   options.schedule != BroadcastSchedule::Relay) {
-    lanes_.resize(1 + static_cast<std::size_t>(profile_.num_devices()));
+                   options.schedule != BroadcastSchedule::Relay),
+        // BSR predicts by the enhanced formula unless its ablation switch
+        // turns it off; every other strategy by first-iteration profiling.
+        enhanced_(options.strategy == StrategyKind::BSR &&
+                  options.bsr.use_enhanced_predictor) {
+    const std::size_t n_lanes =
+        1 + static_cast<std::size_t>(profile_.num_devices());
+    lanes_.reserve(n_lanes);
     // Reserved so the lanes' table pointers stay valid while tables are
     // added.
-    clocks_.reserve(lanes_.size());
+    clocks_.reserve(n_lanes);
     panel_bytes_.resize(static_cast<std::size_t>(iters_));
     for (int k = 0; k < iters_; ++k) {
       panel_bytes_[static_cast<std::size_t>(k)] = panel_area_bytes(k);
     }
-    init_lane(lanes_[0], profile_.host, /*lane=*/0);
-    for (int d = 0; d < profile_.num_devices(); ++d) {
-      init_lane(lanes_[1 + static_cast<std::size_t>(d)],
-                profile_.devices[static_cast<std::size_t>(d)], 1 + d);
-    }
+    add_lane(profile_.host);
+    for (const hw::DeviceModel& dev : profile_.devices) add_lane(dev);
     link_free_.assign(lanes_.size(), SimTime::zero());
     node_bus_free_.assign(
         static_cast<std::size_t>(profile_.links.num_nodes()), SimTime::zero());
@@ -132,8 +136,6 @@ class ClusterRun {
     over_.resize(lanes_.size());
     lane_t_.resize(lanes_.size());
     arrival_.resize(static_cast<std::size_t>(profile_.num_devices()));
-    upd_scheduled_.assign(
-        static_cast<std::size_t>(iters_) * lanes_.size(), false);
     if (opt_.rebalance) {
       eff_share_.assign(static_cast<std::size_t>(iters_) *
                             static_cast<std::size_t>(profile_.num_devices()),
@@ -163,7 +165,7 @@ class ClusterRun {
     for (int d = 0; d < profile_.num_devices(); ++d) {
       if (layout_.has_work(0, d)) continue;
       Lane& lane = lanes_[static_cast<std::size_t>(1 + d)];
-      if (opt_.strategy == ClusterStrategy::R2H) {
+      if (opt_.strategy == StrategyKind::R2H) {
         lane.halt_idle = true;
       } else {
         park_lane(lane);  // no-op under Original (clocks stay pinned)
@@ -205,14 +207,15 @@ class ClusterRun {
  private:
   // -- lane helpers -----------------------------------------------------------
 
-  void init_lane(Lane& lane, const hw::DeviceModel& dev, int index) {
+  /// Appends the next lane (the host first, then device 0, 1, ...).
+  void add_lane(const hw::DeviceModel& dev) {
+    const int index = static_cast<int>(lanes_.size());
+    Lane& lane = lanes_.emplace_back(work_);
     lane.index = index;
     lane.dev = &dev;
     lane.clk = &clock_table(dev);
     lane.dvfs = dev.make_dvfs();
     lane.use.name = dev.name;
-    lane.enhanced = std::make_unique<predict::EnhancedPredictor>(work_);
-    lane.first = std::make_unique<predict::FirstIterationPredictor>(work_);
     lane.noise.assign(static_cast<std::size_t>(iters_), 1.0);
     if (opt_.noise.enabled && iters_ > 1) {
       const double drift = index == 0 ? opt_.noise.cpu_drift
@@ -431,7 +434,7 @@ class ClusterRun {
   };
   [[nodiscard]] DeviceWork device_work(int k, int d, hw::Mhz f,
                                        abft::ChecksumMode mode) const {
-    const predict::IterationWork& w = work_->iteration(k);
+    const predict::IterationWork& w = work_.iteration(k);
     const double share = share_for(k, d);
     const hw::ClockTable& clk = *lanes_[static_cast<std::size_t>(1 + d)].clk;
     DeviceWork out;
@@ -459,12 +462,10 @@ class ClusterRun {
 
   // -- strategy ---------------------------------------------------------------
 
-  [[nodiscard]] const predict::SlackPredictor& predictor(
-      const Lane& lane) const {
-    const bool enhanced = opt_.strategy == ClusterStrategy::BSR &&
-                          opt_.bsr.use_enhanced_predictor;
-    if (enhanced) return *lane.enhanced;
-    return *lane.first;
+  /// The lane's predicted base-clock duration of op at iteration k, by the
+  /// run's formula.
+  [[nodiscard]] double predicted(const Lane& lane, OpKind op, int k) const {
+    return lane.history.predict(op, k, enhanced_);
   }
 
   /// Device d's share of the (n/b)^2 protected blocks at iteration k — the S
@@ -488,7 +489,7 @@ class ClusterRun {
 
   /// Straggler rebalancing (generalized critical-lane selection): re-weight
   /// iteration k's work shares by each lane's predicted TMU throughput. The
-  /// per-lane predictors absorb the realized durations — including the
+  /// per-lane histories absorb the realized durations — including the
   /// variability drift walks — so a lane that has drifted slow sheds trailing
   /// blocks to the fast lanes instead of pinning every iteration's critical
   /// path. Communication volumes keep the structural block-cyclic fractions:
@@ -500,12 +501,11 @@ class ClusterRun {
     double* row = eff_share_.data() +
                   static_cast<std::size_t>(k) * static_cast<std::size_t>(nd);
     for (int d = 0; d < nd; ++d) row[d] = layout_.share(k, d);
-    if (k == 0) return;  // untrained predictors: no per-lane signal yet
+    if (k == 0) return;  // empty histories: no per-lane signal yet
     double wsum = 0.0;
     for (int d = 0; d < nd; ++d) {
       const double pred =
-          predictor(lanes_[static_cast<std::size_t>(1 + d)])
-              .predict(OpKind::TMU, k);
+          predicted(lanes_[static_cast<std::size_t>(1 + d)], OpKind::TMU, k);
       if (!(pred > 0.0)) return;  // defensive: keep the structural shares
       weights_[static_cast<std::size_t>(d)] = row[d] / pred;
       wsum += weights_[static_cast<std::size_t>(d)];
@@ -518,30 +518,29 @@ class ClusterRun {
 
   /// Computes the full per-lane plan for iteration k into `plan` (a row of
   /// plans_, n_lanes wide). Called once, when PD(k) starts (deterministic
-  /// point in event order), using whatever the predictors have absorbed by
+  /// point in event order), using whatever the lanes' histories hold by
   /// then.
   void decide(int k, LaneDecision* plan) {
     if (opt_.rebalance) rebalance_shares(k);
     const std::size_t n_lanes = lanes_.size();
     std::fill(plan, plan + n_lanes, LaneDecision{});
-    const bool bsr = opt_.strategy == ClusterStrategy::BSR;
+    const bool bsr = opt_.strategy == StrategyKind::BSR;
     const hw::Guardband gb = bsr && opt_.bsr.use_optimized_guardband
                                  ? hw::Guardband::Optimized
                                  : hw::Guardband::Default;
     for (std::size_t i = 0; i < n_lanes; ++i) plan[i].gb = gb;
 
-    if (opt_.strategy == ClusterStrategy::Original ||
-        opt_.strategy == ClusterStrategy::R2H || k == 0) {
-      const bool r2h = opt_.strategy == ClusterStrategy::R2H;
+    if (opt_.strategy == StrategyKind::Original ||
+        opt_.strategy == StrategyKind::R2H || k == 0) {
+      const bool r2h = opt_.strategy == StrategyKind::R2H;
       for (std::size_t i = 0; i < n_lanes; ++i) {
         const hw::FrequencyDomain& dom = lanes_[i].dev->freq;
         plan[i].freq = r2h ? dom.max_default_mhz : dom.base_mhz;
         plan[i].adjust = plan[i].freq != lanes_[i].dvfs.current();
         plan[i].halt_idle = r2h;
         if (i > 0) {
-          plan[i].core_t =
-              predictor(lanes_[i]).predict(OpKind::TMU, k) *
-              share_for(k, static_cast<int>(i) - 1);
+          plan[i].core_t = predicted(lanes_[i], OpKind::TMU, k) *
+                           share_for(k, static_cast<int>(i) - 1);
         }
       }
       return;
@@ -561,7 +560,7 @@ class ClusterRun {
       core[0] = 0.0;
       over[0] = 0.0;
     } else {
-      core[0] = predictor(lanes_[0]).predict(OpKind::PD, k);
+      core[0] = predicted(lanes_[0], OpKind::PD, k);
       if (k + 1 < iters_) {
         over[0] = profile_.links
                       .device_to_host(layout_.owner(k + 1),
@@ -575,17 +574,17 @@ class ClusterRun {
       // The broadcast payload a device waits for is its row group's slice of
       // the panel (the whole panel on the 1-D layout, where row_slice is 1).
       const double bytes = one_way_bytes(k) * layout_.row_slice(k, d);
-      core[i] = predictor(lanes_[i]).predict(OpKind::TMU, k) * share;
+      core[i] = predicted(lanes_[i], OpKind::TMU, k) * share;
       over[i] = share > 0.0
                     ? profile_.links.host_to_device(d, bytes).seconds()
                     : 0.0;
       if (device_pd_ && k > 0 && d == layout_.owner(k)) {
         // The panel-owning lane additionally factors panel k this
         // iteration. Model-based estimate (the per-lane PD history is too
-        // sparse under round-robin ownership to feed the predictors).
+        // sparse under round-robin ownership to predict from).
         core[i] += lanes_[i]
                        .clk
-                       ->time_for_flops(work_->iteration(k).pd_flops,
+                       ->time_for_flops(work_.iteration(k).pd_flops,
                                         hw::KernelClass::Panel,
                                         lanes_[i].dev->freq.base_mhz)
                        .seconds();
@@ -698,7 +697,7 @@ class ClusterRun {
                      ? lanes_[static_cast<std::size_t>(1 + layout_.owner(k))]
                      : lanes_[0];
     LaneDecision d = plan_row(k)[static_cast<std::size_t>(lane.index)];
-    const predict::IterationWork& w = work_->iteration(k);
+    const predict::IterationWork& w = work_.iteration(k);
     // Realize the clock first so the busy time reflects the new frequency
     // (variability may quantize or thermally clamp the plan's choice).
     const hw::Mhz f = realize_clock(lane, d);
@@ -998,17 +997,6 @@ class ClusterRun {
   }
 
   void start_update(int k, int d) {
-    // Purely defensive: today each (k, d) update has exactly one scheduling
-    // site (finish_pd's broadcast/relay loop runs once per k), so this guard
-    // never fires. It exists so a future second arrival path — e.g. a
-    // multi-hop relay or a re-broadcast on failure — degrades to a no-op
-    // instead of double-charging the lane.
-    const std::size_t slot =
-        static_cast<std::size_t>(k) * lanes_.size() +
-        static_cast<std::size_t>(1 + d);
-    if (upd_scheduled_[slot]) return;
-    upd_scheduled_[slot] = true;
-
     Lane& lane = lanes_[static_cast<std::size_t>(1 + d)];
     LaneDecision dec = plan_row(k)[static_cast<std::size_t>(1 + d)];
     // Protection matches the clock that actually runs: by now the lane's
@@ -1043,7 +1031,7 @@ class ClusterRun {
     const double share = share_for(k, d);
     if (share > 0.0) {
       // Measured profiles exclude recovery time below: a fault is an
-      // anomaly, not an efficiency change the predictors should learn.
+      // anomaly, not an efficiency change the predictions should learn.
       record(lane, OpKind::TMU, k, (work.update * noise).seconds(), share);
     }
     if (early_ship_ && k + 1 < iters_ && d == layout_.owner(k + 1)) {
@@ -1152,8 +1140,8 @@ class ClusterRun {
   /// only; Original pins clocks and R2H's halt model already covers idling).
   /// The transition window is settled against the makespan at the barrier.
   void park_lane(Lane& lane) {
-    if (opt_.strategy != ClusterStrategy::SR &&
-        opt_.strategy != ClusterStrategy::BSR) {
+    if (opt_.strategy != StrategyKind::SR &&
+        opt_.strategy != StrategyKind::BSR) {
       return;
     }
     lane.park_power_w = idle_power(lane);  // at the pre-park clock
@@ -1167,9 +1155,7 @@ class ClusterRun {
   /// the Table-2 complexity ratios stay applicable.
   void record(Lane& lane, OpKind op, int k, double seconds, double share) {
     const double scale = lane.clk->speed_scale(lane.dvfs.current());
-    const double base_global = seconds * scale / share;
-    lane.enhanced->record(op, k, base_global);
-    lane.first->record(op, k, base_global);
+    lane.history.record(op, k, seconds * scale / share);
   }
 
   [[nodiscard]] double lane_noise(int lane, int k) const {
@@ -1183,7 +1169,7 @@ class ClusterRun {
   obs::TraceRecorder* trace_ = nullptr;  ///< opt_.trace; null = tracing off
   SimTime last_dvfs_lat_;  ///< transition latency of the latest run_compute
   BlockCyclic dist_;
-  std::shared_ptr<const predict::WorkloadTable> work_;  ///< every predictor's
+  predict::WorkloadTable work_;  ///< every lane's history reads it
   LayoutTable layout_;
   PeerTable peers_;
   std::vector<hw::ClockTable> clocks_;  ///< one per distinct device model
@@ -1192,6 +1178,7 @@ class ClusterRun {
   std::int64_t blocks_total_ = 0;
   bool early_ship_ = false;  ///< panel-priority look-ahead (see ctor)
   bool device_pd_ = false;   ///< accelerator-resident panels (see ctor)
+  bool enhanced_ = false;    ///< the predictions' formula (see ctor)
 
   BasicEventEngine<ClusterEvent> engine_;
   std::vector<Lane> lanes_;
@@ -1207,7 +1194,6 @@ class ClusterRun {
   std::vector<double> weights_;    ///< rebalance_shares() scratch
   std::vector<SimTime> arrival_;              ///< finish_pd() scratch
   std::vector<int> recips_, leaders_, group_;  ///< broadcast-job scratch
-  std::vector<char> upd_scheduled_;
 };
 
 }  // namespace

@@ -30,11 +30,6 @@
 
 namespace bsr::cluster {
 
-/// The four built-in policies, generalized to N devices. (Registry-only
-/// strategies implement the two-lane energy::Strategy interface and cannot
-/// drive the cluster engine; core rejects them with a clear message.)
-enum class ClusterStrategy { Original, R2H, SR, BSR };
-
 /// How the factored panel reaches the devices each iteration.
 ///
 ///   Relay — the pre-collective behavior: a host-rooted star over the
@@ -52,7 +47,11 @@ enum class ClusterStrategy { Original, R2H, SR, BSR };
 enum class BroadcastSchedule { Relay, Ring, Tree };
 
 struct ClusterOptions {
-  ClusterStrategy strategy = ClusterStrategy::BSR;
+  /// One of the four built-in policies, generalized to N devices.
+  /// (Registry-only strategies implement the two-lane energy::Strategy
+  /// interface and cannot drive the cluster engine; core rejects them with a
+  /// clear message.)
+  energy::StrategyKind strategy = energy::StrategyKind::BSR;
   /// r / fc_desired / ablation switches, shared by every device pair.
   energy::BsrConfig bsr;
   /// Force one checksum mode on every device-iteration; nullopt = adaptive

@@ -103,21 +103,7 @@ cluster::ClusterOptions lower_options(const RunConfig& cfg) {
   // Registry-only strategies were already rejected by cfg.validate() on
   // every path into here; value() turns a violated precondition into a loud
   // bad_optional_access instead of silently running the wrong policy.
-  const StrategyEntry& entry = strategies().get(cfg.strategy);
-  switch (entry.kind.value()) {
-    case core::StrategyKind::Original:
-      o.strategy = cluster::ClusterStrategy::Original;
-      break;
-    case core::StrategyKind::R2H:
-      o.strategy = cluster::ClusterStrategy::R2H;
-      break;
-    case core::StrategyKind::SR:
-      o.strategy = cluster::ClusterStrategy::SR;
-      break;
-    case core::StrategyKind::BSR:
-      o.strategy = cluster::ClusterStrategy::BSR;
-      break;
-  }
+  o.strategy = strategies().get(cfg.strategy).kind.value();
   o.bsr = core::bsr_config(cfg);
   // nullopt (Adaptive) = per-device ABFT-OC.
   o.forced_abft = core::forced_checksum(abft_policies().get(cfg.abft_policy));

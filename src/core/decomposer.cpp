@@ -285,11 +285,10 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
   const StrategyEntry& entry = strategies().get(cfg.strategy);
   const std::optional<abft::ChecksumMode> forced =
       forced_checksum(abft_policies().get(cfg.abft_policy));
-  const predict::WorkloadModel wl = cfg.workload();
-  const auto strategy = entry.make(cfg, wl);
+  const auto strategy = entry.make(cfg);
 
   sched::PipelineConfig pc;
-  pc.workload = wl;
+  pc.workload = cfg.workload();
   pc.noise.enabled = cfg.noise_enabled;
   pc.seed = cfg.seed;
   pc.variability = cfg.variability;
@@ -331,7 +330,6 @@ RunReport Decomposer::run(const RunConfig& cfg) const {
     sched::IterationDecision d = strategy->decide(k, pipe);
     if (forced) d.abft_mode = *forced;
     const sched::IterationOutcome o = pipe.run_iteration(k, d);
-    strategy->observe(k, o);
     report.trace.add(o);
     switch (o.abft_mode) {
       case abft::ChecksumMode::None: ++report.abft.iterations_unprotected; break;

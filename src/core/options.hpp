@@ -5,21 +5,13 @@
 #include <cstdint>
 #include <string>
 
+#include "energy/strategy.hpp"
 #include "predict/workload.hpp"
 
 namespace bsr::core {
 
 /// Which energy-management strategy drives per-iteration clock decisions.
-enum class StrategyKind {
-  Original,  ///< Fixed reference clocks, no slack reclamation (the baseline).
-  R2H,       ///< Race-to-halt: run at max clock, idle the slack away.
-  SR,        ///< Single-directional reclamation (GreenLA): down-clock the
-             ///< non-critical device to absorb its slack.
-  BSR,       ///< Bi-directional reclamation (paper Algorithm 2): split slack
-             ///< between down-clocking the non-critical device and
-             ///< overclocking the critical one, steered by
-             ///< RunConfig::reclamation_ratio.
-};
+using energy::StrategyKind;
 
 /// TimingOnly runs the full scheduling/strategy/prediction machinery against
 /// the platform model (paper-scale inputs in milliseconds); Numeric

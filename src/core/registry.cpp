@@ -23,26 +23,23 @@ Registry<StrategyEntry>& strategies() {
     Registry<StrategyEntry> r("strategy");
     r.add("original",
           {StrategyKind::Original,
-           [](const RunConfig&, const predict::WorkloadModel&)
-               -> std::unique_ptr<energy::Strategy> {
+           [](const RunConfig&) -> std::unique_ptr<energy::Strategy> {
              return std::make_unique<energy::OriginalStrategy>();
            }});
     r.add("r2h", {StrategyKind::R2H,
-                  [](const RunConfig&, const predict::WorkloadModel&)
-                      -> std::unique_ptr<energy::Strategy> {
+                  [](const RunConfig&) -> std::unique_ptr<energy::Strategy> {
                     return std::make_unique<energy::RaceToHaltStrategy>();
                   }});
     r.add("sr", {StrategyKind::SR,
-                 [](const RunConfig&, const predict::WorkloadModel& wl)
-                     -> std::unique_ptr<energy::Strategy> {
-                   return std::make_unique<energy::SlackReclamationStrategy>(wl);
+                 [](const RunConfig&) -> std::unique_ptr<energy::Strategy> {
+                   return std::make_unique<energy::SlackReclamationStrategy>();
                  }});
-    r.add("bsr", {StrategyKind::BSR,
-                  [](const RunConfig& cfg, const predict::WorkloadModel& wl)
-                      -> std::unique_ptr<energy::Strategy> {
-                    return std::make_unique<energy::BsrStrategy>(
-                        wl, core::bsr_config(cfg));
-                  }});
+    r.add("bsr",
+          {StrategyKind::BSR,
+           [](const RunConfig& cfg) -> std::unique_ptr<energy::Strategy> {
+             return std::make_unique<energy::BsrStrategy>(
+                 core::bsr_config(cfg));
+           }});
     r.alias("org", "original");
     return r;
   }();

@@ -32,10 +32,11 @@ sched::IterationDecision BsrStrategy::decide(int k,
   }
 
   // Lines 3-4: enhanced algorithmic prediction and slack.
-  const predict::SlackPredictor& pred = predictor();
-  const double t_cpu = pred.predict(OpKind::PD, k);
-  const double t_gpu = pred.predict(OpKind::TMU, k);
-  const double t_xfer = pred.predict(OpKind::Transfer, k);
+  const predict::SlackHistory& history = pipe.history();
+  const bool enhanced = config_.use_enhanced_predictor;
+  const double t_cpu = history.predict(OpKind::PD, k, enhanced);
+  const double t_gpu = history.predict(OpKind::TMU, k, enhanced);
+  const double t_xfer = history.predict(OpKind::Transfer, k, enhanced);
   const double slack = t_gpu - t_cpu - t_xfer;
   const double r = config_.reclamation_ratio;
   const double l_cpu = cpu.dvfs_latency.seconds();
@@ -101,16 +102,6 @@ sched::IterationDecision BsrStrategy::decide(int k,
         abft::abft_oc(config_.fc_desired, running, gpu, t_gpu, blocks).mode;
   }
   return d;
-}
-
-void BsrStrategy::observe(int k, const sched::IterationOutcome& o) {
-  for (predict::SlackPredictor* p :
-       {static_cast<predict::SlackPredictor*>(&enhanced_),
-        static_cast<predict::SlackPredictor*>(&first_)}) {
-    p->record(OpKind::PD, k, o.pd_base_s);
-    p->record(OpKind::TMU, k, o.pu_tmu_base_s);
-    p->record(OpKind::Transfer, k, o.transfer_s);
-  }
 }
 
 }  // namespace bsr::energy

@@ -13,12 +13,9 @@
 // better predictor; first-iteration predictor ≈ SR's prediction quality.
 #pragma once
 
-#include <memory>
-
 #include "abft/adaptive.hpp"
 #include "abft/coverage.hpp"
 #include "energy/strategy.hpp"
-#include "predict/slack_predictor.hpp"
 
 namespace bsr::energy {
 
@@ -34,30 +31,15 @@ struct BsrConfig {
 
 class BsrStrategy final : public Strategy {
  public:
-  /// Both predictors read one WorkloadTable of `wl`.
-  BsrStrategy(const predict::WorkloadModel& wl, BsrConfig config)
-      : BsrStrategy(std::make_shared<const predict::WorkloadTable>(wl),
-                    config) {}
+  explicit BsrStrategy(BsrConfig config) : config_(config) {}
 
   [[nodiscard]] const char* name() const override { return "BSR"; }
   sched::IterationDecision decide(int k,
                                   const sched::HybridPipeline& pipe) override;
-  void observe(int k, const sched::IterationOutcome& o) override;
 
-  [[nodiscard]] const predict::SlackPredictor& predictor() const {
-    return config_.use_enhanced_predictor
-               ? static_cast<const predict::SlackPredictor&>(enhanced_)
-               : static_cast<const predict::SlackPredictor&>(first_);
-  }
   [[nodiscard]] const BsrConfig& config() const { return config_; }
 
  private:
-  BsrStrategy(const std::shared_ptr<const predict::WorkloadTable>& table,
-              BsrConfig config)
-      : enhanced_(table), first_(table), config_(config) {}
-
-  predict::EnhancedPredictor enhanced_;
-  predict::FirstIterationPredictor first_;
   BsrConfig config_;
 };
 

@@ -6,6 +6,9 @@ namespace bsr::energy {
 
 using predict::OpKind;
 
+/// GreenLA predicts by first-iteration profiling.
+constexpr bool kEnhanced = false;
+
 sched::IterationDecision SlackReclamationStrategy::decide(
     int k, const sched::HybridPipeline& pipe) {
   const hw::DeviceModel& cpu = pipe.platform().cpu;
@@ -21,9 +24,10 @@ sched::IterationDecision SlackReclamationStrategy::decide(
     return d;
   }
 
-  const double t_cpu = predictor_.predict(OpKind::PD, k);
-  const double t_gpu = predictor_.predict(OpKind::TMU, k);
-  const double t_xfer = predictor_.predict(OpKind::Transfer, k);
+  const predict::SlackHistory& history = pipe.history();
+  const double t_cpu = history.predict(OpKind::PD, k, kEnhanced);
+  const double t_gpu = history.predict(OpKind::TMU, k, kEnhanced);
+  const double t_xfer = history.predict(OpKind::Transfer, k, kEnhanced);
   const double slack = t_gpu - t_cpu - t_xfer;
 
   hw::Mhz f_cpu = cpu.freq.base_mhz;
@@ -55,12 +59,6 @@ sched::IterationDecision SlackReclamationStrategy::decide(
   d.adjust_cpu = cpu_ok && f_cpu != pipe.cpu_freq();
   d.adjust_gpu = gpu_ok && f_gpu != pipe.gpu_freq();
   return d;
-}
-
-void SlackReclamationStrategy::observe(int k, const sched::IterationOutcome& o) {
-  predictor_.record(OpKind::PD, k, o.pd_base_s);
-  predictor_.record(OpKind::TMU, k, o.pu_tmu_base_s);
-  predictor_.record(OpKind::Transfer, k, o.transfer_s);
 }
 
 }  // namespace bsr::energy

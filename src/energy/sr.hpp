@@ -2,35 +2,21 @@
 // state-of-the-art baseline the paper compares against.
 //
 // Profiles the first iteration, predicts each later iteration's task times via
-// the Table-2 complexity ratios (FirstIterationPredictor), and slows the
-// *non-critical-path* processor via DVFS so its task stretches into the slack.
-// Stays inside the default guardband: no undervolting, no overclocking, no
-// ABFT. Never raises a clock above base.
+// the Table-2 complexity ratios (first-iteration profiling of the pipeline's
+// slack history), and slows the *non-critical-path* processor via DVFS so its
+// task stretches into the slack. Stays inside the default guardband: no
+// undervolting, no overclocking, no ABFT. Never raises a clock above base.
 #pragma once
 
-#include <memory>
-
 #include "energy/strategy.hpp"
-#include "predict/slack_predictor.hpp"
 
 namespace bsr::energy {
 
 class SlackReclamationStrategy final : public Strategy {
  public:
-  explicit SlackReclamationStrategy(const predict::WorkloadModel& wl)
-      : predictor_(wl) {}
-
   [[nodiscard]] const char* name() const override { return "SR"; }
   sched::IterationDecision decide(int k,
                                   const sched::HybridPipeline& pipe) override;
-  void observe(int k, const sched::IterationOutcome& o) override;
-
-  [[nodiscard]] const predict::FirstIterationPredictor& predictor() const {
-    return predictor_;
-  }
-
- private:
-  predict::FirstIterationPredictor predictor_;
 };
 
 }  // namespace bsr::energy

@@ -9,10 +9,7 @@ sched::RunTrace run_under_strategy(sched::HybridPipeline& pipe,
   sched::RunTrace trace;
   const int iters = pipe.num_iterations();
   for (int k = 0; k < iters; ++k) {
-    const sched::IterationDecision d = strategy.decide(k, pipe);
-    const sched::IterationOutcome o = pipe.run_iteration(k, d);
-    strategy.observe(k, o);
-    trace.add(o);
+    trace.add(pipe.run_iteration(k, strategy.decide(k, pipe)));
   }
   return trace;
 }

@@ -1,8 +1,9 @@
 // Strategy interface + shared frequency/time arithmetic.
 //
 // A strategy is consulted at the top of every pipeline iteration (exactly
-// where paper Algorithm 2 runs) and returns the DVFS/guardband/ABFT decision;
-// after the iteration it observes the measured outcome to feed its predictor.
+// where paper Algorithm 2 runs) and returns the DVFS/guardband/ABFT decision.
+// It only decides: the engine owns the measurements, and a strategy that
+// predicts reads them from the pipeline's slack history.
 #pragma once
 
 #include <memory>
@@ -12,16 +13,25 @@
 
 namespace bsr::energy {
 
+/// The four built-in energy-management strategies; both engines realize
+/// each of them.
+enum class StrategyKind {
+  Original,  ///< Fixed reference clocks, no slack reclamation (the baseline).
+  R2H,       ///< Race-to-halt: run at max clock, idle the slack away.
+  SR,        ///< Single-directional reclamation (GreenLA): down-clock the
+             ///< non-critical device to absorb its slack.
+  BSR,       ///< Bi-directional reclamation (paper Algorithm 2): split slack
+             ///< between down-clocking the non-critical device and
+             ///< overclocking the critical one, steered by
+             ///< RunConfig::reclamation_ratio.
+};
+
 class Strategy {
  public:
   virtual ~Strategy() = default;
   [[nodiscard]] virtual const char* name() const = 0;
   virtual sched::IterationDecision decide(int k,
                                           const sched::HybridPipeline& pipe) = 0;
-  virtual void observe(int k, const sched::IterationOutcome& outcome) {
-    (void)k;
-    (void)outcome;
-  }
 };
 
 /// Runs the whole factorization under `strategy` and returns the trace.

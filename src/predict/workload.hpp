@@ -83,9 +83,9 @@ struct WorkloadModel {
 };
 
 /// One WorkloadModel::iteration(k) row per iteration, built once for a run
-/// and read by both engines and the slack predictors instead of re-deriving
+/// and read by both engines and their slack histories instead of re-deriving
 /// the counts per event. Immutable after construction, so one table may be
-/// shared by every predictor of a run.
+/// shared by every history of a run.
 class WorkloadTable {
  public:
   explicit WorkloadTable(const WorkloadModel& model);

@@ -9,6 +9,7 @@ HybridPipeline::HybridPipeline(const hw::PlatformProfile& platform,
     : platform_(platform),
       config_(std::move(config)),
       work_(config_.workload),
+      history_(work_),
       cpu_dvfs_(platform_.cpu.make_dvfs()),
       gpu_dvfs_(platform_.gpu.make_dvfs()),
       cpu_clk_(hw::ClockState::at(platform_.cpu, cpu_dvfs_.current())),
@@ -216,10 +217,13 @@ IterationOutcome HybridPipeline::run_iteration(int k, const IterationDecision& d
   }
   o.gpu_energy_j += gpu_idle_p * (o.span - o.gpu_lane).seconds();
 
-  // --- Base-clock-normalized profiles for the predictors ----------------------
+  // --- Base-clock-normalized profiles for the slack history -----------------
   o.pd_base_s = t.pd.seconds() * cpu_clk_.speed_scale;
   o.pu_tmu_base_s = o.pu_tmu.seconds() * gpu_clk_.speed_scale;
   o.transfer_s = t.transfer.seconds();
+  history_.record(predict::OpKind::PD, k, o.pd_base_s);
+  history_.record(predict::OpKind::TMU, k, o.pu_tmu_base_s);
+  history_.record(predict::OpKind::Transfer, k, o.transfer_s);
 
   if (config_.variability.enabled) {
     // Thermal accounting: above-base busy time drains the boost budget, the

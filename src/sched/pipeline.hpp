@@ -3,17 +3,18 @@
 // Executes one iteration at a time under a strategy-supplied
 // IterationDecision, advancing a deterministic simulated clock, integrating
 // each lane's energy (power x duration per segment) into the iteration's
-// IterationOutcome, and reporting measured durations back for the
-// predictors. A calibrated efficiency-drift + noise model perturbs task times
-// the way real kernels drift as the trailing matrix shrinks — this is what
-// separates the enhanced slack predictor from the first-iteration baseline
-// (paper Fig. 8).
+// IterationOutcome, and recording the measured durations into the run's
+// slack history, which strategies read. A calibrated efficiency-drift +
+// noise model perturbs task times the way real kernels drift as the trailing
+// matrix shrinks — this is what separates the enhanced slack predictor from
+// the first-iteration baseline (paper Fig. 8).
 #pragma once
 
 #include "common/rng.hpp"
 #include "hw/clock_table.hpp"
 #include "hw/platform.hpp"
 #include "obs/trace.hpp"
+#include "predict/slack_history.hpp"
 #include "sched/tasks.hpp"
 #include "sched/timeline.hpp"
 #include "var/models.hpp"
@@ -58,6 +59,9 @@ struct PipelineConfig {
 class HybridPipeline {
  public:
   HybridPipeline(const hw::PlatformProfile& platform, PipelineConfig config);
+  // history_ points at work_.
+  HybridPipeline(const HybridPipeline&) = delete;
+  HybridPipeline& operator=(const HybridPipeline&) = delete;
 
   [[nodiscard]] int num_iterations() const { return work_.num_iterations(); }
   [[nodiscard]] const predict::WorkloadModel& workload() const {
@@ -79,7 +83,14 @@ class HybridPipeline {
     return dev == hw::DeviceId::Cpu ? cpu_var_ : gpu_var_;
   }
 
-  /// Executes iteration k under the decision; integrates time and energy.
+  /// Base-clock PD, PU+TMU and transfer profiles of every iteration run so
+  /// far, on the run's workload table: what strategies predict from.
+  [[nodiscard]] const predict::SlackHistory& history() const {
+    return history_;
+  }
+
+  /// Executes iteration k under the decision; integrates time and energy,
+  /// and records the iteration's profiles into history().
   IterationOutcome run_iteration(int k, const IterationDecision& d);
 
   /// Model durations of iteration k's tasks with both lanes at their base
@@ -95,6 +106,7 @@ class HybridPipeline {
   hw::PlatformProfile platform_;
   PipelineConfig config_;
   predict::WorkloadTable work_;  ///< one IterationWork row per iteration
+  predict::SlackHistory history_;  ///< the run's one history, on work_
   hw::DvfsController cpu_dvfs_;
   hw::DvfsController gpu_dvfs_;
   // Each lane's clock-dependent model values at its current clock,

@@ -63,7 +63,8 @@ struct IterationOutcome {
   double cpu_energy_j = 0.0;
   double gpu_energy_j = 0.0;
 
-  // Base-clock-normalized measured durations for the predictors.
+  // Base-clock-normalized measured durations, as the slack history holds
+  // them.
   double pd_base_s = 0.0;
   double pu_tmu_base_s = 0.0;
   double transfer_s = 0.0;

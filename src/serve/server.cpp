@@ -125,17 +125,12 @@ void Server::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  // Wake the accept thread with a throwaway connection (closing the fd from
-  // another thread does not reliably unblock accept()).
-  try {
-    if (config_.socket_path.empty()) {
-      (void)connect_tcp_localhost(port_);
-    } else {
-      (void)connect_unix(config_.socket_path);
-    }
-  } catch (const std::exception&) {
-    // Listener already gone; accept has already returned.
-  }
+  // Wake the accept thread: on Linux a blocked accept() on a shut-down
+  // listener fails with EINVAL, which accept_one() reads as "no more
+  // connections". Closing the fd from another thread does not reliably
+  // unblock it, and a throwaway connection cannot reach a socket path that
+  // is already gone.
+  ::shutdown(listener_.fd(), SHUT_RDWR);
   // Unblock workers parked in recv on idle connections: half-close their
   // descriptors so read_line() sees EOF and the worker drains out.
   {

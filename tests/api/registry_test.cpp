@@ -33,7 +33,7 @@ TEST(Registry, BuiltInStrategiesRoundTrip) {
     // The factory builds a real strategy object.
     RunConfig cfg;
     cfg.strategy = key;
-    EXPECT_NE(entry.make(cfg, cfg.workload()), nullptr);
+    EXPECT_NE(entry.make(cfg), nullptr);
   }
   // Case-insensitivity and aliases keep working through the registry.
   EXPECT_EQ(strategies().get("BSR").kind, StrategyKind::BSR);
@@ -93,8 +93,7 @@ TEST(Registry, RuntimeRegisteredStrategyRunsEverywhere) {
     strategies().add(
         "registry_test_original_twin",
         {std::nullopt,
-         [](const RunConfig&, const predict::WorkloadModel&)
-             -> std::unique_ptr<energy::Strategy> {
+         [](const RunConfig&) -> std::unique_ptr<energy::Strategy> {
            return std::make_unique<energy::OriginalStrategy>();
          }});
   }

@@ -221,11 +221,10 @@ TEST(Sweep, CustomBaselineKeepsCellKnobs) {
     strategies().add(
         "sweep_test_r_reader",
         {std::nullopt,
-         [](const RunConfig& cfg, const predict::WorkloadModel& wl)
-             -> std::unique_ptr<energy::Strategy> {
+         [](const RunConfig& cfg) -> std::unique_ptr<energy::Strategy> {
            energy::BsrConfig c;
            c.reclamation_ratio = cfg.reclamation_ratio;
-           return std::make_unique<energy::BsrStrategy>(wl, c);
+           return std::make_unique<energy::BsrStrategy>(c);
          }});
   }
   RunConfig base = small_base();
@@ -250,7 +249,7 @@ TEST(Sweep, WorkerExceptionsPropagate) {
   if (!strategies().contains("sweep_test_throws")) {
     strategies().add("sweep_test_throws",
                      {std::nullopt,
-                      [](const RunConfig&, const predict::WorkloadModel&)
+                      [](const RunConfig&)
                           -> std::unique_ptr<energy::Strategy> {
                         throw std::runtime_error("boom from factory");
                       }});

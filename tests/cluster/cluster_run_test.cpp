@@ -20,7 +20,7 @@ predict::WorkloadModel workload(std::int64_t n, std::int64_t b) {
   return predict::WorkloadModel{predict::Factorization::LU, n, b, 8};
 }
 
-cluster::ClusterOptions options(cluster::ClusterStrategy s) {
+cluster::ClusterOptions options(StrategyKind s) {
   cluster::ClusterOptions o;
   o.strategy = s;
   return o;
@@ -31,7 +31,7 @@ TEST(ClusterEngine, RejectsAGridWhoseIntProductWrapsToTheDeviceCount) {
   // 8 of 0..7.
   const cluster::ClusterProfile profile =
       cluster::ClusterProfile::paper_scaleout(8);
-  cluster::ClusterOptions o = options(cluster::ClusterStrategy::BSR);
+  cluster::ClusterOptions o = options(StrategyKind::BSR);
   o.grid_p = 3;
   o.grid_q = 1431655768;
   EXPECT_THROW((void)cluster::run_cluster(profile, workload(4096, 256), o),
@@ -156,9 +156,9 @@ TEST(ClusterEngine, BitwiseDeterministic) {
       cluster::ClusterProfile::paper_scaleout(4);
   const predict::WorkloadModel wl = workload(4096, 256);
   const cluster::ClusterReport a =
-      cluster::run_cluster(profile, wl, options(cluster::ClusterStrategy::BSR));
+      cluster::run_cluster(profile, wl, options(StrategyKind::BSR));
   const cluster::ClusterReport b =
-      cluster::run_cluster(profile, wl, options(cluster::ClusterStrategy::BSR));
+      cluster::run_cluster(profile, wl, options(StrategyKind::BSR));
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.total_energy_j(), b.total_energy_j());  // exact, not near
   for (std::size_t d = 0; d < a.devices.size(); ++d) {
@@ -172,7 +172,7 @@ TEST(ClusterEngine, SeedChangesTheRunNoiseOffDoesNot) {
   const cluster::ClusterProfile profile =
       cluster::ClusterProfile::paper_scaleout(2);
   const predict::WorkloadModel wl = workload(4096, 256);
-  cluster::ClusterOptions o1 = options(cluster::ClusterStrategy::BSR);
+  cluster::ClusterOptions o1 = options(StrategyKind::BSR);
   cluster::ClusterOptions o2 = o1;
   o2.seed = o1.seed + 1;
   EXPECT_NE(cluster::run_cluster(profile, wl, o1).total_energy_j(),
@@ -185,7 +185,7 @@ TEST(ClusterEngine, SeedChangesTheRunNoiseOffDoesNot) {
 
 TEST(ClusterEngine, MoreDevicesShortenTheMakespan) {
   const predict::WorkloadModel wl = workload(16384, 512);
-  const cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  const cluster::ClusterOptions o = options(StrategyKind::Original);
   const double t1 =
       cluster::run_cluster(cluster::ClusterProfile::paper_scaleout(1), wl, o)
           .seconds();
@@ -202,7 +202,7 @@ TEST(ClusterEngine, SharedBusCarriesTwoStreamsBeforeQueueing) {
   // overlaps two broadcasts; throttling the bus to link speed serializes
   // them and must slow the run down.
   const predict::WorkloadModel wl = workload(16384, 512);
-  const cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  const cluster::ClusterOptions o = options(StrategyKind::Original);
   cluster::ClusterProfile wide = cluster::ClusterProfile::paper_scaleout(8);
   cluster::ClusterProfile narrow = wide;
   narrow.links.host_bus.bandwidth_gbs = wide.links.host_links[0].bandwidth_gbs;
@@ -217,7 +217,7 @@ TEST(ClusterEngine, DeviceFlopsExcludeChecksumOverhead) {
   const cluster::ClusterProfile profile =
       cluster::ClusterProfile::paper_scaleout(2);
   const predict::WorkloadModel wl = workload(4096, 256);
-  cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  cluster::ClusterOptions o = options(StrategyKind::Original);
   o.forced_abft = abft::ChecksumMode::Full;
   const cluster::ClusterReport full = cluster::run_cluster(profile, wl, o);
   o.forced_abft = abft::ChecksumMode::None;
@@ -234,7 +234,7 @@ TEST(ClusterEngine, CholeskyBroadcastsTheFullPanelNotTheDiagonalBlock) {
   // free and uncapping their bandwidth would change almost nothing.
   const predict::WorkloadModel chol{predict::Factorization::Cholesky, 16384,
                                     512, 8};
-  const cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  const cluster::ClusterOptions o = options(StrategyKind::Original);
   const cluster::ClusterProfile paper =
       cluster::ClusterProfile::paper_scaleout(8);
   cluster::ClusterProfile fat = paper;
@@ -252,7 +252,7 @@ TEST(ClusterEngine, PeerLinksRelayTheBroadcastOffTheBus) {
   // instead of a second host-bus transfer, so it must beat the pure-PCIe
   // topology (and in particular must not be bit-identical to it).
   const predict::WorkloadModel wl = workload(16384, 512);
-  const cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  const cluster::ClusterOptions o = options(StrategyKind::Original);
   const double t_pcie =
       cluster::run_cluster(cluster::ClusterProfile::paper_scaleout(8), wl, o)
           .seconds();
@@ -270,12 +270,12 @@ TEST(ClusterEngine, ReclaimingStrategiesParkRetiredLanes) {
       cluster::ClusterProfile::paper_scaleout(4);
   const predict::WorkloadModel wl = workload(4096, 256);
   const cluster::ClusterReport bsr =
-      cluster::run_cluster(profile, wl, options(cluster::ClusterStrategy::BSR));
+      cluster::run_cluster(profile, wl, options(StrategyKind::BSR));
   for (const cluster::DeviceUsage& d : bsr.devices) {
     EXPECT_EQ(d.final_mhz, profile.devices[0].freq.min_mhz) << d.name;
   }
   const cluster::ClusterReport org = cluster::run_cluster(
-      profile, wl, options(cluster::ClusterStrategy::Original));
+      profile, wl, options(StrategyKind::Original));
   for (const cluster::DeviceUsage& d : org.devices) {
     EXPECT_EQ(d.final_mhz, profile.devices[0].freq.base_mhz) << d.name;
   }
@@ -287,10 +287,10 @@ TEST(ClusterEngine, BsrSavesEnergyOverOriginal) {
   const predict::WorkloadModel wl = workload(16384, 512);
   const double e_org =
       cluster::run_cluster(profile, wl,
-                           options(cluster::ClusterStrategy::Original))
+                           options(StrategyKind::Original))
           .total_energy_j();
   const double e_bsr =
-      cluster::run_cluster(profile, wl, options(cluster::ClusterStrategy::BSR))
+      cluster::run_cluster(profile, wl, options(StrategyKind::BSR))
           .total_energy_j();
   EXPECT_LT(e_bsr, e_org);
 }
@@ -299,7 +299,7 @@ TEST(ClusterEngine, ForcedAbftCountsPerDevice) {
   const cluster::ClusterProfile profile =
       cluster::ClusterProfile::paper_scaleout(2);
   const predict::WorkloadModel wl = workload(4096, 256);
-  cluster::ClusterOptions o = options(cluster::ClusterStrategy::Original);
+  cluster::ClusterOptions o = options(StrategyKind::Original);
   o.forced_abft = abft::ChecksumMode::Full;
   const cluster::ClusterReport r = cluster::run_cluster(profile, wl, o);
   for (const cluster::DeviceUsage& d : r.devices) {
@@ -399,7 +399,7 @@ TEST(ClusterFacade, RegistryOnlyStrategiesAreRejectedForClusterRuns) {
   if (!strategies().contains("cluster_test_registry_only")) {
     strategies().add("cluster_test_registry_only",
                      {std::nullopt,
-                      [](const RunConfig&, const predict::WorkloadModel&)
+                      [](const RunConfig&)
                           -> std::unique_ptr<energy::Strategy> {
                         return std::make_unique<energy::OriginalStrategy>();
                       }});
@@ -448,7 +448,7 @@ TEST(ClusterFacade, ValidateMessagePrefixedExactlyOnce) {
   if (!strategies().contains("cluster_test_prefix_probe")) {
     strategies().add("cluster_test_prefix_probe",
                      {std::nullopt,
-                      [](const RunConfig&, const predict::WorkloadModel&)
+                      [](const RunConfig&)
                           -> std::unique_ptr<energy::Strategy> {
                         return std::make_unique<energy::OriginalStrategy>();
                       }});

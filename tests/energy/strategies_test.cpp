@@ -68,7 +68,7 @@ TEST(SR, SavesMoreThanR2H) {
   // Paper Fig. 12(a): SR > R2H in energy saving.
   OriginalStrategy org;
   RaceToHaltStrategy r2h;
-  SlackReclamationStrategy sr(config().workload);
+  SlackReclamationStrategy sr;
   const double e_org = run(org).total_energy_j();
   const double e_r2h = run(r2h).total_energy_j();
   const double e_sr = run(sr).total_energy_j();
@@ -77,7 +77,7 @@ TEST(SR, SavesMoreThanR2H) {
 }
 
 TEST(SR, NeverOverclocksAndNeverAbft) {
-  SlackReclamationStrategy sr(config().workload);
+  SlackReclamationStrategy sr;
   sched::HybridPipeline pipe(hw::PlatformProfile::paper_default(), config());
   const sched::RunTrace t = run_under_strategy(pipe, sr);
   for (const auto& o : t.iterations) {
@@ -88,7 +88,7 @@ TEST(SR, NeverOverclocksAndNeverAbft) {
 }
 
 TEST(SR, SlowsCpuDuringCpuSideSlack) {
-  SlackReclamationStrategy sr(config().workload);
+  SlackReclamationStrategy sr;
   sched::HybridPipeline pipe(hw::PlatformProfile::paper_default(), config());
   const sched::RunTrace t = run_under_strategy(pipe, sr);
   // Iteration 2 has large CPU-side slack: the CPU must be well below base.
@@ -97,7 +97,7 @@ TEST(SR, SlowsCpuDuringCpuSideSlack) {
 
 TEST(SR, PerformanceWithinFewPercentOfOriginal) {
   OriginalStrategy org;
-  SlackReclamationStrategy sr(config().workload);
+  SlackReclamationStrategy sr;
   const double t_org = run(org).total_time.seconds();
   const double t_sr = run(sr).total_time.seconds();
   EXPECT_LT(t_sr, t_org * 1.05);
@@ -105,16 +105,16 @@ TEST(SR, PerformanceWithinFewPercentOfOriginal) {
 
 TEST(BSR, R0SavesMoreThanSR) {
   // The headline claim: BSR(r=0) beats SR on energy.
-  SlackReclamationStrategy sr(config().workload);
-  BsrStrategy bsr(config().workload, BsrConfig{0.0, 0.999999});
+  SlackReclamationStrategy sr;
+  BsrStrategy bsr(BsrConfig{0.0, 0.999999});
   const double e_sr = run(sr).total_energy_j();
   const double e_bsr = run(bsr).total_energy_j();
   EXPECT_LT(e_bsr, e_sr);
 }
 
 TEST(BSR, HigherRImprovesPerformance) {
-  BsrStrategy bsr0(config().workload, BsrConfig{0.0, 0.999999});
-  BsrStrategy bsr25(config().workload, BsrConfig{0.25, 0.999999});
+  BsrStrategy bsr0(BsrConfig{0.0, 0.999999});
+  BsrStrategy bsr25(BsrConfig{0.25, 0.999999});
   const double t0 = run(bsr0).total_time.seconds();
   const double t25 = run(bsr25).total_time.seconds();
   EXPECT_LT(t25, t0 * 0.97);
@@ -123,7 +123,7 @@ TEST(BSR, HigherRImprovesPerformance) {
 TEST(BSR, R0StaysFaultFreeAndUnprotected) {
   // With r=0 nothing is sped up, so the GPU never overclocks past the
   // fault-free limit and adaptive ABFT stays off.
-  BsrStrategy bsr(config().workload, BsrConfig{0.0, 0.999999});
+  BsrStrategy bsr(BsrConfig{0.0, 0.999999});
   sched::HybridPipeline pipe(hw::PlatformProfile::paper_default(), config());
   const sched::RunTrace t = run_under_strategy(pipe, bsr);
   for (const auto& o : t.iterations) {
@@ -134,7 +134,7 @@ TEST(BSR, R0StaysFaultFreeAndUnprotected) {
 TEST(BSR, HighREventuallyEngagesAbft) {
   // Paper Fig. 9 (r=0.25): late iterations overclock into the SDC regime and
   // adaptive ABFT turns on.
-  BsrStrategy bsr(config().workload, BsrConfig{0.25, 0.999999});
+  BsrStrategy bsr(BsrConfig{0.25, 0.999999});
   sched::HybridPipeline pipe(hw::PlatformProfile::paper_default(), config());
   const sched::RunTrace t = run_under_strategy(pipe, bsr);
   int protected_iters = 0;
@@ -150,7 +150,7 @@ TEST(BSR, HighREventuallyEngagesAbft) {
 TEST(BSR, AbftModeMatchesRunningFrequency) {
   // Whenever the GPU runs above the fault-free limit, protection must be on.
   const auto platform = hw::PlatformProfile::paper_default();
-  BsrStrategy bsr(config().workload, BsrConfig{0.3, 0.999999});
+  BsrStrategy bsr(BsrConfig{0.3, 0.999999});
   sched::HybridPipeline pipe(platform, config());
   const sched::RunTrace t = run_under_strategy(pipe, bsr);
   const hw::Mhz ff = platform.gpu.fault_free_max();
@@ -163,8 +163,8 @@ TEST(BSR, AbftModeMatchesRunningFrequency) {
 
 TEST(BSR, UsesOptimizedGuardbandEnergySaving) {
   // Even at r=0, the optimized guardband alone must cut busy power vs SR.
-  SlackReclamationStrategy sr(config().workload);
-  BsrStrategy bsr(config().workload, BsrConfig{0.0, 0.999999});
+  SlackReclamationStrategy sr;
+  BsrStrategy bsr(BsrConfig{0.0, 0.999999});
   const sched::RunTrace t_sr = run(sr);
   const sched::RunTrace t_bsr = run(bsr);
   EXPECT_LT(t_bsr.gpu_energy_j, t_sr.gpu_energy_j);

@@ -9,7 +9,7 @@
 
 #include "bsr/bsr.hpp"
 #include "energy/baselines.hpp"
-#include "predict/slack_predictor.hpp"
+#include "predict/slack_history.hpp"
 #include "sched/pipeline.hpp"
 
 namespace bsr {
@@ -158,15 +158,13 @@ TEST(VariabilityRun, DriftSeparatesThePredictorsFig08Direction) {
   cfg.seed = 42;
   cfg.variability = make_variability("drift");
   sched::HybridPipeline pipe(make_platform("paper_default"), cfg);
-  predict::FirstIterationPredictor first(wl);
-  predict::EnhancedPredictor enhanced(wl);
   energy::OriginalStrategy original;
   double first_err = 0.0;
   double enhanced_err = 0.0;
   int scored = 0;
   for (int k = 0; k < pipe.num_iterations(); ++k) {
-    const double pf = first.predict(predict::OpKind::TMU, k);
-    const double pe = enhanced.predict(predict::OpKind::TMU, k);
+    const double pf = pipe.history().predict(predict::OpKind::TMU, k, false);
+    const double pe = pipe.history().predict(predict::OpKind::TMU, k, true);
     const sched::IterationOutcome o =
         pipe.run_iteration(k, original.decide(k, pipe));
     if (k >= 1 && o.pu_tmu_base_s > 0.0) {
@@ -174,8 +172,6 @@ TEST(VariabilityRun, DriftSeparatesThePredictorsFig08Direction) {
       enhanced_err += std::abs(pe - o.pu_tmu_base_s) / o.pu_tmu_base_s;
       ++scored;
     }
-    first.record(predict::OpKind::TMU, k, o.pu_tmu_base_s);
-    enhanced.record(predict::OpKind::TMU, k, o.pu_tmu_base_s);
   }
   ASSERT_GT(scored, 10);
   EXPECT_LT(enhanced_err, first_err);

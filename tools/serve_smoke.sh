@@ -5,8 +5,9 @@
 # cold run "executed", repeat "memory", byte-identical reports, an oversized
 # request line refused without harm, a clean shutdown, no leaked socket
 # file, and store hits that answer with the cold bytes, also from a record
-# whose report holds whitespace the writer never puts there. Exits 0 on
-# success, non-zero with the failing step on stderr otherwise.
+# whose report holds whitespace the writer never puts there. Last, a second
+# daemon must exit after SIGTERM although its directory is already gone.
+# Exits 0 on success, non-zero with the failing step on stderr otherwise.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
 set -u
@@ -157,5 +158,34 @@ echo "$STATS" | grep -q '"rejected":0' \
 wait "$SERVED_PID" || fail "daemon exited non-zero after third shutdown"
 SERVED_PID=""
 
+# SIGTERM once the daemon's directory is gone (a cleanup that removes it
+# right after signalling): no socket path is left to wake accept() through,
+# and the daemon must still exit within 10 s. The signal waits for the
+# listening line, which comes after the signal handlers are installed.
+GONE_DIR="$(mktemp -d)"
+GONE_LOG="$WORK_DIR/gone.log"
+"$SERVED" --socket "$GONE_DIR/bsr.sock" --workers 2 >"$GONE_LOG" &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "listening on" "$GONE_LOG" && break
+    kill -0 "$SERVED_PID" 2>/dev/null || fail "daemon exited during startup"
+    sleep 0.05
+done
+grep -q "listening on" "$GONE_LOG" || fail "daemon never reported listening"
+rm -rf "$GONE_DIR"
+kill -TERM "$SERVED_PID"
+for _ in $(seq 1 100); do
+    kill -0 "$SERVED_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVED_PID" 2>/dev/null; then
+    kill -9 "$SERVED_PID"
+    wait "$SERVED_PID" 2>/dev/null
+    SERVED_PID=""
+    fail "daemon still up 10 s after SIGTERM with its directory removed"
+fi
+wait "$SERVED_PID" || fail "daemon exited non-zero after SIGTERM"
+SERVED_PID=""
+
 echo "serve_smoke: OK (cold executed, repeat from memory, restart from store," \
-     "spaced record from store)"
+     "spaced record from store, SIGTERM without a directory)"
