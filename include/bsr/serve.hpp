@@ -1,6 +1,6 @@
 // bsr/serve.hpp — sweep-as-a-service behind the facade: the bsr_served
-// daemon's building blocks (durable result store, request coalescing,
-// admission control) as a library.
+// daemon's building blocks (durable result store, one result table for
+// finished and in-flight runs, admission control) as a library.
 //
 // The economics of simulator experiments change once results are shared:
 // every RunConfig has an exact fingerprint (RunConfig::fingerprint()), so a
@@ -27,8 +27,10 @@
 //     daemon restart over the same store directory — is byte-identical to
 //     the cold response that executed the run (serialization is a fixpoint
 //     and stores/caches hold serialized text, never re-serialized structs).
-//   * Single-flight: N concurrent requests for one fingerprint cost exactly
-//     one execution; the other N-1 wait and share the leader's result.
+//   * Exactly once: a daemon executes each fingerprint once. N concurrent
+//     requests for it cost one execution (the other N-1 wait and share it),
+//     and the finished result stays in the same table for later requests.
+//     A failed run is forgotten, so the next request runs it again.
 //   * Bounded admission: at most queue_depth connections wait for a worker;
 //     beyond that, clients get one explicit
 //     {"ok":false,"error":"overloaded","retry":true} line, never an

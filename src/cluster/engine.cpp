@@ -218,8 +218,8 @@ class ClusterRun {
     lane.use.name = dev.name;
     lane.noise.assign(static_cast<std::size_t>(iters_), 1.0);
     if (opt_.noise.enabled && iters_ > 1) {
-      const double drift = index == 0 ? opt_.noise.cpu_drift
-                                      : opt_.noise.gpu_drift;
+      const double drift = index == 0 ? sched::NoiseModel::cpu_drift
+                                      : sched::NoiseModel::gpu_drift;
       Rng rng(opt_.seed +
               0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1));
       for (int k = 0; k < iters_; ++k) {
@@ -227,7 +227,7 @@ class ClusterRun {
             static_cast<double>(k) / static_cast<double>(iters_ - 1);
         lane.noise[static_cast<std::size_t>(k)] =
             (1.0 + drift * progress * progress) *
-            std::exp(rng.normal(0.0, opt_.noise.sigma));
+            std::exp(rng.normal(0.0, sched::NoiseModel::sigma));
       }
     }
     if (opt_.variability.enabled) {

@@ -24,12 +24,12 @@ HybridPipeline::HybridPipeline(const hw::PlatformProfile& platform,
     for (int k = 0; k < iters; ++k) {
       const double progress =
           static_cast<double>(k) / static_cast<double>(iters - 1);
-      const double jitter_cpu = std::exp(rng.normal(0.0, config_.noise.sigma));
-      const double jitter_gpu = std::exp(rng.normal(0.0, config_.noise.sigma));
+      const double jitter_cpu = std::exp(rng.normal(0.0, NoiseModel::sigma));
+      const double jitter_gpu = std::exp(rng.normal(0.0, NoiseModel::sigma));
       cpu_noise_[k] =
-          (1.0 + config_.noise.cpu_drift * progress * progress) * jitter_cpu;
+          (1.0 + NoiseModel::cpu_drift * progress * progress) * jitter_cpu;
       gpu_noise_[k] =
-          (1.0 + config_.noise.gpu_drift * progress * progress) * jitter_gpu;
+          (1.0 + NoiseModel::gpu_drift * progress * progress) * jitter_gpu;
     }
   }
   if (config_.variability.enabled) {

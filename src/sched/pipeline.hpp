@@ -24,11 +24,12 @@ namespace bsr::sched {
 /// Multiplicative task-time perturbation: time is inflated by
 /// (1 + drift * progress^2) * lognormal(sigma), where progress = k / K.
 /// GPU kernels lose more efficiency late in the run (small trailing updates
-/// underutilize the device); the CPU panel is steadier.
+/// underutilize the device); the CPU panel is steadier. The calibration is
+/// fixed; a run only switches it on or off.
 struct NoiseModel {
-  double cpu_drift = 0.06;
-  double gpu_drift = 0.22;
-  double sigma = 0.02;     ///< relative measurement/run-to-run noise
+  static constexpr double cpu_drift = 0.06;
+  static constexpr double gpu_drift = 0.22;
+  static constexpr double sigma = 0.02;  ///< relative run-to-run noise
   bool enabled = true;
 };
 

@@ -5,11 +5,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "bsr/sweep.hpp"
 #include "common/build_info.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/protocol.hpp"
@@ -61,13 +63,13 @@ Server::Server(ServerConfig config)
             r.counter("bsr_serve_runs_total",
                       "run-op configs plus sweep-op cells resolved"),
             r.counter("bsr_serve_memory_hits_total",
-                      "lookups served from the in-memory cache (tier 1)"),
+                      "lookups answered by a finished run in memory"),
             r.counter("bsr_serve_coalesced_total",
-                      "lookups that joined an in-flight execution (tier 2)"),
+                      "lookups that waited for a run in flight"),
             r.counter("bsr_serve_store_hits_total",
-                      "lookups served from the durable store (tier 3)"),
+                      "lookups loaded from the durable store"),
             r.counter("bsr_serve_executed_total",
-                      "lookups that executed the simulator (tier 4)"),
+                      "lookups that executed the simulator"),
             r.histogram("bsr_serve_request_latency_seconds",
                         "wall time to serve one request line, any op",
                         buckets),
@@ -93,6 +95,14 @@ Server::Server(ServerConfig config)
 }
 
 Server::~Server() { stop(); }
+
+void Server::count(std::uint64_t ServeStats::*stat, common::Counter& counter) {
+  {
+    const std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++(stats_.*stat);
+  }
+  counter.inc();
+}
 
 void Server::start() {
   if (running_.load()) throw std::logic_error("serve: already started");
@@ -170,11 +180,7 @@ void Server::accept_loop() {
     if (!conn.valid()) return;
     if (queue_.size() >= static_cast<std::size_t>(config_.queue_depth)) {
       lock.unlock();
-      {
-        std::lock_guard<std::mutex> slock(stats_mutex_);
-        ++stats_.overloaded;
-      }
-      metrics_.overloaded.inc();
+      count(&ServeStats::overloaded, metrics_.overloaded);
       // Refused by admission control: one explicit backpressure line, then
       // close. Never enqueue beyond queue_depth.
       try {
@@ -200,11 +206,7 @@ void Server::worker_loop() {
       conn = std::move(queue_.front());
       queue_.pop_front();
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
-    metrics_.connections.inc();
+    count(&ServeStats::connections, metrics_.connections);
     const int fd = conn.fd();
     {
       std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -228,11 +230,7 @@ void Server::serve_connection(Socket conn) {
   } catch (const std::length_error& e) {
     // An oversized request line: one refusal, then the connection closes
     // with the rest of the line unread.
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.bad_requests;
-    }
-    metrics_.bad_requests.inc();
+    count(&ServeStats::bad_requests, metrics_.bad_requests);
     try {
       conn.send_all(error_response(e.what(), /*retry=*/false) + "\n");
     } catch (const std::exception&) {
@@ -245,11 +243,7 @@ void Server::serve_connection(Socket conn) {
 }
 
 bool Server::handle_line(const std::string& line, const Socket& conn) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
-  metrics_.requests.inc();
+  count(&ServeStats::requests, metrics_.requests);
   const auto t0 = std::chrono::steady_clock::now();
   std::string op;
   std::string response;
@@ -277,11 +271,7 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
       shutdown = true;
     }
   } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.bad_requests;
-    }
-    metrics_.bad_requests.inc();
+    count(&ServeStats::bad_requests, metrics_.bad_requests);
     response = error_response(e.what(), /*retry=*/false);
   }
   const double elapsed = seconds_since(t0);
@@ -312,61 +302,66 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
 
 std::pair<CachedResult, const char*> Server::resolve(
     const RunConfig& cfg, const std::string& fingerprint) {
+  count(&ServeStats::runs, metrics_.runs);
+  std::shared_future<CachedResult> result;
+  // Engaged for the first request for fp, which loads or runs it and
+  // publishes the outcome to every request that waits meanwhile.
+  std::optional<std::promise<CachedResult>> first;
+  bool ready = false;
   {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.runs;
-  }
-  metrics_.runs.inc();
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = cache_.find(fingerprint);
-    if (it != cache_.end()) {
-      {
-        std::lock_guard<std::mutex> slock(stats_mutex_);
-        ++stats_.memory_hits;
-      }
-      metrics_.memory_hits.inc();
-      return {it->second, "memory"};
-    }
-  }
-  const SingleFlight<CachedResult>::Result result =
-      flights_.do_call(fingerprint, [&]() -> CachedResult {
-        if (store_ != nullptr) {
-          if (std::optional<StoredRecord> record =
-                  store_->load_record(fingerprint)) {
-            // One parse gives both the metrics and the response bytes (the
-            // stored report re-emitted verbatim).
-            CachedResult e =
-                make_cached(record->report, std::move(record->json));
-            e.from_store = true;
-            return e;
-          }
-        }
-        const core::RunReport report = config_.runner(cfg);
-        CachedResult e = make_cached(report, serialize_report(report));
-        if (store_ != nullptr) store_->save_serialized(fingerprint, *e.json);
-        return e;
-      });
-  const char* source = "coalesced";
-  if (result.leader) source = result.value.from_store ? "store" : "executed";
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (result.leader) {
-      ++(result.value.from_store ? stats_.store_hits : stats_.executed);
+    const std::lock_guard<std::mutex> lock(results_mutex_);
+    const auto [it, inserted] = results_.try_emplace(fingerprint);
+    Entry& entry = it->second;
+    if (inserted) {
+      entry.result = first.emplace().get_future().share();
     } else {
-      ++stats_.coalesced;
+      ready = entry.result.wait_for(std::chrono::seconds(0)) ==
+              std::future_status::ready;
+      if (!ready) ++entry.joined;
+      result = entry.result;
     }
   }
-  if (result.leader) {
-    (result.value.from_store ? metrics_.store_hits : metrics_.executed).inc();
+  if (!first) {
+    // get() rethrows a failed run's error in every request that waited.
+    CachedResult hit = result.get();
+    if (ready) {
+      count(&ServeStats::memory_hits, metrics_.memory_hits);
+    } else {
+      count(&ServeStats::coalesced, metrics_.coalesced);
+    }
+    return {std::move(hit), ready ? "memory" : "coalesced"};
+  }
+
+  CachedResult value;
+  bool from_store = false;
+  try {
+    std::optional<StoredRecord> record;
+    if (store_ != nullptr) record = store_->load_record(fingerprint);
+    if (record) {
+      // One parse gives both the metrics and the response bytes (the stored
+      // report re-emitted verbatim).
+      value = make_cached(record->report, std::move(record->json));
+      from_store = true;
+    } else {
+      const core::RunReport report = config_.runner(cfg);
+      value = make_cached(report, serialize_report(report));
+      if (store_ != nullptr) store_->save_serialized(fingerprint, *value.json);
+    }
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(results_mutex_);
+      results_.erase(fingerprint);
+    }
+    first->set_exception(std::current_exception());
+    throw;
+  }
+  first->set_value(value);
+  if (from_store) {
+    count(&ServeStats::store_hits, metrics_.store_hits);
   } else {
-    metrics_.coalesced.inc();
+    count(&ServeStats::executed, metrics_.executed);
   }
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    cache_.emplace(fingerprint, result.value);
-  }
-  return {result.value, source};
+  return {std::move(value), from_store ? "store" : "executed"};
 }
 
 std::string Server::handle_run(const JsonValue& body) {
@@ -394,46 +389,33 @@ std::string Server::handle_sweep(const JsonValue& body) {
       cfg_json != nullptr ? config_from_json(*cfg_json) : RunConfig{};
 
   // Axes expand outermost-first in the order the request lists them (the
-  // parser preserves member order). Each axis point is (label, mutator).
-  struct Point {
-    std::string label;
-    std::function<void(RunConfig&)> apply;
-  };
-  struct SweepAxis {
-    std::string name;
-    std::vector<Point> points;
-  };
-  std::vector<SweepAxis> axes;
+  // parser preserves member order).
+  std::vector<Axis> axes;
   const JsonValue* axes_json = body.find("axes");
   if (axes_json != nullptr) {
     for (const auto& [name, values] : axes_json->members()) {
-      SweepAxis axis;
-      axis.name = name;
-      for (const JsonValue& v : values.items()) {
-        if (name == "strategy") {
-          const std::string key = v.as_string();
-          axis.points.push_back(
-              {key, [key](RunConfig& c) { c.strategy = key; }});
-        } else if (name == "n") {
-          const std::int64_t n = v.to_int64();
-          axis.points.push_back({std::to_string(n), [n](RunConfig& c) {
-                                   c.n = n;
-                                   c.b = 0;  // re-tune the block per size
-                                 }});
-        } else if (name == "r") {
+      const std::vector<JsonValue>& items = values.items();
+      Axis axis;
+      if (name == "strategy" || name == "abft") {
+        std::vector<std::string> keys;
+        for (const JsonValue& v : items) keys.push_back(v.as_string());
+        axis = name == "strategy" ? strategy_axis(keys) : abft_axis(keys);
+      } else if (name == "n") {
+        std::vector<std::int64_t> ns;
+        for (const JsonValue& v : items) ns.push_back(v.to_int64());
+        axis = size_axis(ns);  // re-tunes the block per size
+      } else if (name == "r") {
+        // Labelled with the request's own number token, not ratio_axis's %g.
+        axis.name = name;
+        for (const JsonValue& v : items) {
           const double r = v.to_double();
           axis.points.push_back({v.number_token(), [r](RunConfig& c) {
                                    c.reclamation_ratio = r;
                                  }});
-        } else if (name == "abft") {
-          const std::string key = v.as_string();
-          axis.points.push_back(
-              {key, [key](RunConfig& c) { c.abft_policy = key; }});
-        } else {
-          throw std::runtime_error(
-              "unknown sweep axis \"" + name +
-              "\" (known axes: strategy, n, r, abft)");
         }
+      } else if (!items.empty()) {
+        throw std::runtime_error("unknown sweep axis \"" + name +
+                                 "\" (known axes: strategy, n, r, abft)");
       }
       if (axis.points.empty()) {
         throw std::runtime_error("sweep axis \"" + name + "\" has no values");
@@ -443,7 +425,7 @@ std::string Server::handle_sweep(const JsonValue& body) {
   }
 
   std::size_t cells = 1;
-  for (const SweepAxis& axis : axes) cells *= axis.points.size();
+  for (const Axis& axis : axes) cells *= axis.points.size();
   constexpr std::size_t kMaxCells = 4096;
   if (cells > kMaxCells) {
     throw std::runtime_error("sweep expands to " + std::to_string(cells) +
@@ -461,9 +443,10 @@ std::string Server::handle_sweep(const JsonValue& body) {
     RunConfig cfg = base;
     std::vector<std::pair<std::string, std::string>> coords;
     std::size_t stride = cells;
-    for (const SweepAxis& axis : axes) {
+    for (const Axis& axis : axes) {
       stride /= axis.points.size();
-      const Point& point = axis.points[(index / stride) % axis.points.size()];
+      const AxisPoint& point =
+          axis.points[(index / stride) % axis.points.size()];
       coords.emplace_back(axis.name, point.label);
       point.apply(cfg);
     }
@@ -530,7 +513,7 @@ std::string Server::handle_metrics() {
                 common::build_info_line("bsr"))
       .set(1.0);
   reg.gauge("bsr_serve_cache_entries",
-            "entries in the in-memory serialized-report cache")
+            "result-table entries: finished runs and runs in flight")
       .set(static_cast<double>(cache_entries()));
   reg.gauge("bsr_serve_workers", "configured connection-serving workers")
       .set(static_cast<double>(config_.workers));
@@ -570,8 +553,14 @@ StoreStats Server::store_stats() const {
 }
 
 std::size_t Server::cache_entries() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.size();
+  const std::lock_guard<std::mutex> lock(results_mutex_);
+  return results_.size();
+}
+
+std::uint64_t Server::waiters(const std::string& fingerprint) const {
+  const std::lock_guard<std::mutex> lock(results_mutex_);
+  const auto it = results_.find(fingerprint);
+  return it == results_.end() ? 0 : it->second.joined;
 }
 
 }  // namespace bsr::serve

@@ -1,18 +1,21 @@
 // The bsr_served server loop: accept thread + bounded connection queue +
-// worker threads on common/thread_pool, serving the protocol.hpp ops with
-// three result tiers (in-memory cache, single-flight coalescing, durable
-// DiskResultStore).
+// worker threads on common/thread_pool, serving the protocol.hpp ops from
+// one result table keyed by run fingerprint, over an optional durable
+// DiskResultStore.
 //
 // Request path for one run fingerprint fp:
 //
-//   memory cache hit ──────────────────────────► "memory"   (no work)
-//   miss, flight for fp in progress ───────────► "coalesced" (wait, share)
-//   miss, leader: durable store hit ───────────► "store"    (no execution)
-//   miss, leader: store miss ──────────────────► "executed" (one run)
+//   fp's run finished ─────────────────────────► "memory"    (no work)
+//   fp's run in flight ────────────────────────► "coalesced" (wait, share)
+//   fp new: durable store hit ─────────────────► "store"     (no execution)
+//   fp new: store miss ────────────────────────► "executed"  (one run)
 //
-// Executed and store-served reports are promoted into the memory cache as
-// their SERIALIZED text, so a repeat — same process or after a daemon
-// restart — answers with bytes identical to the cold response (the
+// The first request for fp enters it into the table before loading or
+// running it, and the finished result stays in that entry, so a fingerprint
+// whose run succeeds executes once per daemon; a failed run's entry is
+// erased, and the next request runs it again. Results are kept as their
+// SERIALIZED text, so a repeat — same process or after a daemon restart —
+// answers with bytes identical to the cold response (the
 // serialize/deserialize fixpoint in serve/report_json.hpp).
 //
 // Admission control: the accept thread never blocks on workers. When
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,7 +42,6 @@
 #include "common/metrics.hpp"
 #include "common/socket.hpp"
 #include "core/report.hpp"
-#include "serve/single_flight.hpp"
 #include "serve/store.hpp"
 
 namespace bsr::serve {
@@ -70,10 +73,10 @@ struct ServeStats {
   std::uint64_t requests = 0;     ///< request lines parsed (any op)
   std::uint64_t bad_requests = 0; ///< lines answered with ok:false
   std::uint64_t runs = 0;         ///< run-op configs + sweep-op cells
-  std::uint64_t memory_hits = 0;  ///< tier 1: in-memory serialized cache
-  std::uint64_t coalesced = 0;    ///< tier 2: joined an in-flight execution
-  std::uint64_t store_hits = 0;   ///< tier 3: durable store
-  std::uint64_t executed = 0;     ///< tier 4: simulator executions
+  std::uint64_t memory_hits = 0;  ///< answered by a finished run in memory
+  std::uint64_t coalesced = 0;    ///< waited for a run in flight
+  std::uint64_t store_hits = 0;   ///< loaded from the durable store
+  std::uint64_t executed = 0;     ///< simulator executions
 };
 
 /// One cached result: the serialized report (shared, immutable) plus the
@@ -84,10 +87,6 @@ struct CachedResult {
   double energy_j = 0.0;
   double ed2p = 0.0;
   double gflops = 0.0;
-  /// Whether the leading lookup was served from the durable store (tier 3)
-  /// rather than executed (tier 4). Meaningful only on the flight leader's
-  /// copy — followers report "coalesced" regardless.
-  bool from_store = false;
 };
 
 /// One daemon instance. start() spawns the accept thread and the worker
@@ -135,12 +134,13 @@ class Server {
   [[nodiscard]] ServeStats stats() const;
   /// Durable-store counters (all zero when no store is mounted).
   [[nodiscard]] StoreStats store_stats() const;
-  /// Entries in the in-memory serialized-report cache.
+  /// Entries in the result table: finished runs plus runs in flight.
   [[nodiscard]] std::size_t cache_entries() const;
 
-  /// The in-flight coalescing group (exposed for deterministic tests:
-  /// waiters(fp) lets a gated runner block until N-1 followers joined).
-  [[nodiscard]] SingleFlight<CachedResult>& flights() { return flights_; }
+  /// Requests that joined `fingerprint`'s run while it was in flight (0 when
+  /// it has no entry). A test's gated runner polls it until N-1 concurrent
+  /// requests provably wait for the run.
+  [[nodiscard]] std::uint64_t waiters(const std::string& fingerprint) const;
 
  private:
   void accept_loop();
@@ -153,9 +153,11 @@ class Server {
   std::string handle_sweep(const JsonValue& body);
   std::string handle_stats();
   std::string handle_metrics();
+  /// Adds one to a ServeStats counter and its registry mirror.
+  void count(std::uint64_t ServeStats::*stat, common::Counter& counter);
 
-  /// The tiered lookup for one config. Returns the cached result plus the
-  /// source tag ("memory" / "coalesced" / "store" / "executed").
+  /// The result for one config, from the table, the store or a run. Returns
+  /// it with its source tag ("memory" / "coalesced" / "store" / "executed").
   std::pair<CachedResult, const char*> resolve(const RunConfig& cfg,
                                                const std::string& fingerprint);
 
@@ -183,10 +185,15 @@ class Server {
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
 
-  mutable std::mutex cache_mutex_;
-  std::map<std::string, CachedResult> cache_;
-
-  SingleFlight<CachedResult> flights_;
+  /// One fingerprint's result: pending while its run is in flight, ready
+  /// once it finished. A failed run's entry is erased before its error
+  /// reaches the requests that waited for it.
+  struct Entry {
+    std::shared_future<CachedResult> result;
+    std::uint64_t joined = 0;  ///< requests that waited for it in flight
+  };
+  mutable std::mutex results_mutex_;
+  std::map<std::string, Entry> results_;
 
   mutable std::mutex stats_mutex_;
   ServeStats stats_;

@@ -1,8 +1,10 @@
 // The bsr_served server loop end to end, over localhost TCP with an
 // injectable runner: cold/warm/restart byte-identity, deterministic
-// single-flight coalescing (N concurrent identical requests -> exactly one
-// execution), admission control, the request-line bound, the sweep op, and
-// graceful shutdown.
+// coalescing (N concurrent identical requests -> exactly one execution),
+// exactly one execution per fingerprint under concurrent bursts, failed runs
+// that reach every waiter and are run again, distinct fingerprints in flight
+// together, one store load shared by concurrent requests, admission control,
+// the request-line bound, the sweep op, and graceful shutdown.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <csignal>
 #include <cstddef>
@@ -22,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +77,19 @@ struct TestServer {
 
 std::string run_request(const std::string& config_json) {
   return std::string(R"({"op":"run","config":)") + config_json + "}";
+}
+
+/// Polls `done` until it holds or 10 s pass. False at the deadline, so a
+/// server that never reaches the awaited state fails the test, not hangs it.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 TEST(ServerTest, ColdRunExecutesOnceAndRepeatIsByteIdenticalFromMemory) {
@@ -179,8 +196,8 @@ TEST(ServerTest, UnreadableReportInAValidEnvelopeIsALoudMissThatReExecutes) {
 }
 
 TEST(ServerTest, ConcurrentIdenticalRequestsCoalesceToExactlyOneExecution) {
-  // Deterministic, not statistical: the runner BLOCKS until the single-
-  // flight group proves all other requests joined its flight, so the workers
+  // Deterministic, not statistical: the runner BLOCKS until the result
+  // table proves all other requests joined its run in flight, so the workers
   // cannot sneak through sequentially.
   constexpr int kClients = 4;
   const std::string fp = small_config().fingerprint();
@@ -191,7 +208,7 @@ TEST(ServerTest, ConcurrentIdenticalRequestsCoalesceToExactlyOneExecution) {
   cfg.workers = kClients;
   cfg.runner = [&](const RunConfig& rc) {
     ++executions;
-    while (server->flights().waiters(fp) <
+    while (server->waiters(fp) <
            static_cast<std::uint64_t>(kClients - 1)) {
       std::this_thread::yield();
     }
@@ -233,6 +250,246 @@ TEST(ServerTest, ConcurrentIdenticalRequestsCoalesceToExactlyOneExecution) {
   EXPECT_EQ(stats.executed, 1u);
   EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
   server->stop();
+}
+
+TEST(ServerTest, ConcurrentBurstsExecuteEachFingerprintExactlyOnce) {
+  // Every round, all clients send the same fresh fingerprint at once. A run
+  // that finishes while another request for it is on its way must be found
+  // finished, never run a second time.
+  constexpr int kClients = 8;
+  constexpr int kRounds = 400;
+  ServerConfig cfg;
+  cfg.workers = kClients;
+  TestServer ts(std::move(cfg));
+
+  std::barrier round_start(kClients);
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&] {
+      Client c = ts.client();  // one persistent connection per client
+      for (int r = 0; r < kRounds; ++r) {
+        round_start.arrive_and_wait();
+        const JsonValue v = c.call(run_request(
+            R"({"n":256,"b":128,"seed":)" + std::to_string(r + 1) + "}"));
+        if (!v.at("ok").as_bool()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(ts.executions.load(), kRounds);
+  const ServeStats stats = ts.server->stats();
+  EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(stats.memory_hits + stats.coalesced,
+            static_cast<std::uint64_t>(kRounds) * (kClients - 1));
+  EXPECT_EQ(ts.server->cache_entries(), static_cast<std::size_t>(kRounds));
+  ts.server->stop();
+}
+
+TEST(ServerTest, FailedRunAnswersEveryWaiterAndTheNextRequestRunsItAgain) {
+  // The first run throws once both other requests provably wait for it:
+  // all three get its error, nothing is kept, and a later request runs it.
+  constexpr int kClients = 3;
+  const std::string fp = small_config().fingerprint();
+
+  std::atomic<int> executions{0};
+  std::unique_ptr<Server> server;  // the runner below queries it
+  ServerConfig cfg;
+  cfg.workers = kClients;
+  cfg.runner = [&](const RunConfig& rc) {
+    if (++executions == 1) {
+      while (server->waiters(fp) < static_cast<std::uint64_t>(kClients - 1)) {
+        std::this_thread::yield();
+      }
+      throw std::runtime_error("simulated run failure");
+    }
+    return bsr::run(rc);
+  };
+  server = std::make_unique<Server>(std::move(cfg));
+  server->start();
+
+  std::vector<std::thread> threads;
+  std::vector<std::string> responses(kClients);
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      Client c = Client::connect_tcp(server->port());
+      responses[i] = c.call_raw(run_request(kSmallConfig));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const std::string& r : responses) {
+    const JsonValue v = JsonValue::parse(r);
+    EXPECT_FALSE(v.at("ok").as_bool()) << r;
+    EXPECT_NE(v.at("error").as_string().find("simulated run failure"),
+              std::string::npos)
+        << r;
+  }
+  EXPECT_EQ(server->cache_entries(), 0u);
+  EXPECT_EQ(server->stats().bad_requests, 3u);
+
+  Client c = Client::connect_tcp(server->port());
+  const JsonValue again = c.call(run_request(kSmallConfig));
+  ASSERT_TRUE(again.at("ok").as_bool()) << again.dump();
+  EXPECT_EQ(again.at("source").as_string(), "executed");
+  EXPECT_EQ(executions.load(), 2);
+  server->stop();
+}
+
+TEST(ServerTest, DistinctFingerprintsInFlightTogetherDoNotCoalesce) {
+  // Each runner waits until the other has entered too, so both runs are
+  // provably in flight at once and neither request can wait on the other's.
+  constexpr int kClients = 2;
+  std::atomic<int> in_runner{0};
+  std::atomic<bool> overlapped{true};
+  ServerConfig cfg;
+  cfg.workers = kClients;
+  cfg.runner = [&](const RunConfig& rc) {
+    ++in_runner;
+    if (!eventually([&] { return in_runner.load() == kClients; })) {
+      overlapped.store(false);
+    }
+    return bsr::run(rc);
+  };
+  TestServer ts(std::move(cfg));
+
+  std::vector<std::thread> threads;
+  std::vector<std::string> responses(kClients);
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      Client c = ts.client();
+      responses[i] = c.call_raw(run_request(
+          R"({"n":256,"b":128,"seed":)" + std::to_string(i + 1) + "}"));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_TRUE(overlapped.load());
+  EXPECT_EQ(in_runner.load(), kClients);
+  std::vector<std::string> fingerprints;
+  for (const std::string& r : responses) {
+    const JsonValue v = JsonValue::parse(r);
+    ASSERT_TRUE(v.at("ok").as_bool()) << r;
+    EXPECT_EQ(v.at("source").as_string(), "executed");
+    fingerprints.push_back(v.at("fingerprint").as_string());
+    EXPECT_EQ(ts.server->waiters(fingerprints.back()), 0u);
+  }
+  EXPECT_NE(fingerprints[0], fingerprints[1]);
+  const ServeStats stats = ts.server->stats();
+  EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.memory_hits, 0u);
+  EXPECT_EQ(ts.server->cache_entries(), static_cast<std::size_t>(kClients));
+  ts.server->stop();
+}
+
+TEST(ServerTest, RunInFlightIsOneEntryThatOnlyWaitingRequestsJoin) {
+  // A run counts as a table entry from the moment its first request enters
+  // it. waiters() counts the requests that waited for it in flight; a memory
+  // hit after it finished does not join it.
+  const std::string fp = small_config().fingerprint();
+  std::atomic<bool> in_runner{false};
+  std::atomic<bool> release{false};
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.runner = [&](const RunConfig& rc) {
+    in_runner.store(true);
+    (void)eventually([&] { return release.load(); });
+    return bsr::run(rc);
+  };
+  TestServer ts(std::move(cfg));
+  EXPECT_EQ(ts.server->waiters(fp), 0u);  // no entry yet
+
+  std::string first_reply;
+  std::string second_reply;
+  std::thread first([&] {
+    Client c = ts.client();
+    first_reply = c.call_raw(run_request(kSmallConfig));
+  });
+  EXPECT_TRUE(eventually([&] { return in_runner.load(); }));
+  EXPECT_EQ(ts.server->cache_entries(), 1u);
+  EXPECT_EQ(ts.server->waiters(fp), 0u);
+  std::thread second([&] {
+    Client c = ts.client();
+    second_reply = c.call_raw(run_request(kSmallConfig));
+  });
+  EXPECT_TRUE(eventually([&] { return ts.server->waiters(fp) == 1; }));
+  release.store(true);
+  first.join();
+  second.join();
+
+  EXPECT_EQ(JsonValue::parse(first_reply).at("source").as_string(),
+            "executed");
+  EXPECT_EQ(JsonValue::parse(second_reply).at("source").as_string(),
+            "coalesced");
+  Client c = ts.client();
+  EXPECT_EQ(c.call(run_request(kSmallConfig)).at("source").as_string(),
+            "memory");
+  EXPECT_EQ(ts.server->waiters(fp), 1u);
+  EXPECT_EQ(ts.server->cache_entries(), 1u);
+  ts.server->stop();
+}
+
+TEST(ServerTest, ConcurrentRequestsForAStoredRecordLoadItOnce) {
+  // A restarted daemon asked for one stored fingerprint by several clients
+  // at once reads the record once; the other requests share that load.
+  constexpr int kClients = 4;
+  const std::string dir = fresh_dir("storeburst");
+  std::string cold_report;
+  {
+    ServerConfig cfg;
+    cfg.store_dir = dir;
+    TestServer ts(std::move(cfg));
+    Client c = ts.client();
+    const JsonValue v = c.call(run_request(kSmallConfig));
+    ASSERT_TRUE(v.at("ok").as_bool()) << v.dump();
+    cold_report = v.at("report").dump();
+    ts.server->stop();
+  }
+  ServerConfig cfg;
+  cfg.store_dir = dir;
+  cfg.workers = kClients;
+  TestServer ts(std::move(cfg));  // the restarted daemon
+
+  std::barrier start(kClients);
+  std::vector<std::thread> threads;
+  std::vector<std::string> responses(kClients);
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      Client c = ts.client();
+      start.arrive_and_wait();
+      responses[i] = c.call_raw(run_request(kSmallConfig));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  int loads = 0;
+  for (const std::string& r : responses) {
+    const JsonValue v = JsonValue::parse(r);
+    ASSERT_TRUE(v.at("ok").as_bool()) << r;
+    const std::string source = v.at("source").as_string();
+    loads += source == "store" ? 1 : 0;
+    if (source != "store") {
+      EXPECT_TRUE(source == "coalesced" || source == "memory") << source;
+    }
+    EXPECT_EQ(v.at("report").dump(), cold_report);
+  }
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(ts.executions.load(), 0);
+  const ServeStats stats = ts.server->stats();
+  EXPECT_EQ(stats.store_hits, 1u);
+  EXPECT_EQ(stats.executed, 0u);
+  EXPECT_EQ(stats.memory_hits + stats.coalesced,
+            static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(ts.server->store_stats().hits, 1u);
+  EXPECT_EQ(ts.server->cache_entries(), 1u);
+  ts.server->stop();
 }
 
 TEST(ServerTest, AdmissionControlRefusesBeyondQueueDepth) {
@@ -297,6 +554,33 @@ TEST(ServerTest, SweepOpExpandsAxesAndDedupesViaFingerprints) {
   // r values are distinct runs: 3 executions for 4 cells.
   EXPECT_EQ(ts.executions.load(), 3);
   EXPECT_EQ(ts.server->stats().runs, 4u);
+  ts.server->stop();
+}
+
+TEST(ServerTest, SweepOpSizeAxisRetunesTheBlockAndAbftAxisSetsThePolicy) {
+  TestServer ts;
+  Client c = ts.client();
+  const JsonValue v = c.call(
+      R"({"op":"sweep","config":{"n":1024,"b":128},)"
+      R"("axes":{"n":[2048],"abft":["none","full"]}})");
+  ASSERT_TRUE(v.at("ok").as_bool()) << v.dump();
+  ASSERT_EQ(v.at("rows").items().size(), 2u);
+  const char* policies[] = {"none", "full"};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue& row = v.at("rows").items()[i];
+    EXPECT_EQ(row.at("coords").at("n").as_string(), "2048");
+    EXPECT_EQ(row.at("coords").at("abft").as_string(), policies[i]);
+    RunConfig want;
+    want.n = 2048;
+    want.b = 0;  // the size axis re-tunes the block
+    want.abft_policy = policies[i];
+    EXPECT_EQ(row.at("fingerprint").as_string(), want.fingerprint());
+  }
+
+  const JsonValue unknown = c.call(R"({"op":"sweep","axes":{"m":[1]}})");
+  EXPECT_FALSE(unknown.at("ok").as_bool());
+  EXPECT_NE(unknown.at("error").as_string().find("unknown sweep axis"),
+            std::string::npos);
   ts.server->stop();
 }
 

@@ -5,8 +5,10 @@
 # cold run "executed", repeat "memory", byte-identical reports, an oversized
 # request line refused without harm, a clean shutdown, no leaked socket
 # file, and store hits that answer with the cold bytes, also from a record
-# whose report holds whitespace the writer never puts there. Last, a second
-# daemon must exit after SIGTERM although its directory is already gone.
+# whose report holds whitespace the writer never puts there. Then a burst of
+# 8 concurrent identical requests to a memory-only daemon must execute once
+# and answer 8 identical reports. Last, a daemon must exit after SIGTERM
+# although its directory is already gone.
 # Exits 0 on success, non-zero with the failing step on stderr otherwise.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
@@ -158,6 +160,49 @@ echo "$STATS" | grep -q '"rejected":0' \
 wait "$SERVED_PID" || fail "daemon exited non-zero after third shutdown"
 SERVED_PID=""
 
+# A burst of 8 concurrent identical requests to a memory-only daemon with 8
+# workers: one execution, the other 7 answered from that run in flight or
+# finished, and 8 byte-identical reports. Its own daemon, so the store above
+# keeps its one record.
+BURST_SOCKET="$WORK_DIR/burst.sock"
+BURST_CONFIG='{"n":2048,"b":128,"seed":11}'
+"$SERVED" --socket "$BURST_SOCKET" --workers 8 >/dev/null &
+SERVED_PID=$!
+for _ in $(seq 1 100); do
+    [ -S "$BURST_SOCKET" ] && break
+    kill -0 "$SERVED_PID" 2>/dev/null || fail "burst daemon exited during startup"
+    sleep 0.05
+done
+[ -S "$BURST_SOCKET" ] || fail "socket never appeared: $BURST_SOCKET"
+BURST_PIDS=()
+for i in $(seq 1 8); do
+    "$SERVECTL" --socket "$BURST_SOCKET" --op run --config "$BURST_CONFIG" \
+        >"$WORK_DIR/burst_$i.out" &
+    BURST_PIDS+=($!)
+done
+for pid in "${BURST_PIDS[@]}"; do
+    wait "$pid" || fail "a burst run request failed"
+done
+BURST_FIRST=$(cat "$WORK_DIR/burst_1.out")
+BURST_REPORT="${BURST_FIRST#*\"report\":}"
+for i in $(seq 2 8); do
+    BURST_REPLY=$(cat "$WORK_DIR/burst_$i.out")
+    [ "${BURST_REPLY#*\"report\":}" = "$BURST_REPORT" ] \
+        || fail "burst reply $i carries a different report"
+done
+STATS=$("$SERVECTL" --socket "$BURST_SOCKET" --op stats) \
+    || fail "burst stats request failed"
+echo "$STATS" | grep -q '"executed":1,' \
+    || fail "burst: expected executed:1: $STATS"
+MEMORY_HITS=$(echo "$STATS" | grep -o '"memory_hits":[0-9]*' | cut -d: -f2)
+COALESCED=$(echo "$STATS" | grep -o '"coalesced":[0-9]*' | cut -d: -f2)
+[ $((MEMORY_HITS + COALESCED)) -eq 7 ] \
+    || fail "burst: expected memory_hits + coalesced = 7: $STATS"
+"$SERVECTL" --socket "$BURST_SOCKET" --op shutdown >/dev/null \
+    || fail "burst shutdown request failed"
+wait "$SERVED_PID" || fail "burst daemon exited non-zero after shutdown"
+SERVED_PID=""
+
 # SIGTERM once the daemon's directory is gone (a cleanup that removes it
 # right after signalling): no socket path is left to wake accept() through,
 # and the daemon must still exit within 10 s. The signal waits for the
@@ -188,4 +233,5 @@ wait "$SERVED_PID" || fail "daemon exited non-zero after SIGTERM"
 SERVED_PID=""
 
 echo "serve_smoke: OK (cold executed, repeat from memory, restart from store," \
-     "spaced record from store, SIGTERM without a directory)"
+     "spaced record from store, burst executed once, SIGTERM without a" \
+     "directory)"
