@@ -5,9 +5,9 @@
 // numbers are host-side sanity benchmarks (the *simulated* device performance
 // comes from hw::PerfModel, not from these numbers); the throughput numbers
 // are the product metric the committed BENCH_kernels.json trajectory and the
-// CI perf gate (tools/perf_gate.py) defend. The daemon's report codec gets the
-// same treatment in bytes per second, and Algorithm 1's checksum ladder in
-// decisions per second.
+// CI perf gate (tools/perf_gate.py) defend. The daemon's report codec, its
+// request decode and the run fingerprint get the same treatment in bytes per
+// second, and Algorithm 1's checksum ladder in decisions per second.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "la/lapack.hpp"
 #include "predict/workload.hpp"
+#include "serve/protocol.hpp"
 #include "serve/report_json.hpp"
 #include "serve/store.hpp"
 
@@ -328,5 +329,37 @@ void BM_StoreHit(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_StoreHit);
+
+// A daemon request's fixed cost around its result-table lookup, on the same
+// grid cell: the fingerprint that keys the table, and the decode of the run
+// request line that carries the cell (its syntax and op, then its config).
+// bytes/s counts fingerprint bytes written and request bytes decoded.
+void BM_Fingerprint(benchmark::State& state) {
+  const RunConfig cfg = grid_cell();
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string fp = cfg.fingerprint();
+    benchmark::DoNotOptimize(fp.data());
+    bytes += static_cast<std::int64_t>(fp.size());
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Fingerprint);
+
+void BM_RunRequestDecode(benchmark::State& state) {
+  const std::string line = R"({"op":"run","config":)" +
+                           serve::serialize_config(grid_cell()) + "}";
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const serve::Request req = serve::parse_request(line);
+    const RunConfig cfg = serve::config_from_json(req.config);
+    benchmark::DoNotOptimize(&cfg);
+    bytes += static_cast<std::int64_t>(line.size());
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RunRequestDecode);
 
 }  // namespace

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
-#include <system_error>
+
+#include "common/chars.hpp"
 
 namespace bsr {
 
@@ -48,19 +48,6 @@ void append_quoted(std::string& out, std::string_view s) {
   }
   out.append(s, run, s.size() - run);
   out += '"';
-}
-
-/// std::to_chars output of `v` (an integer, or a finite double in shortest
-/// round-trip form) appended to `out`; "0" when it does not format.
-template <typename T>
-void append_chars(std::string& out, T v) {
-  char buf[40];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) {
-    out += '0';
-    return;
-  }
-  out.append(buf, ptr);
 }
 
 void append_double(std::string& out, double v) {

@@ -152,11 +152,13 @@ struct JsonToken {
     if (!convert(out)) fail_convert("token", "is not a uint64");
     return out;
   }
-
- private:
+  /// Throws as a conversion does ("json: expected object, got number")
+  /// unless the token is of kind `want`.
   void require(JsonValue::Kind want) const {
     if (kind != want) fail_kind(want);
   }
+
+ private:
   /// std::from_chars over the whole text; false when any byte is left.
   template <typename T>
   bool convert(T& out) const {

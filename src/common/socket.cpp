@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -41,21 +43,45 @@ void Socket::close() {
   }
 }
 
-void Socket::send_all(std::string_view data) const {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
+void Socket::send_all(std::initializer_list<std::string_view> parts) const {
+  if (parts.size() > kMaxParts) {
+    throw std::invalid_argument("socket: send_all takes at most " +
+                                std::to_string(kMaxParts) + " parts");
+  }
+  iovec iov[kMaxParts];
+  std::size_t count = 0;
+  for (const std::string_view part : parts) {
+    if (part.empty()) continue;
+    // sendmsg() only reads through iov_base.
+    iov[count++] = {const_cast<char*>(part.data()), part.size()};
+  }
+  iovec* next = iov;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd_, &msg,
 #ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
+                                MSG_NOSIGNAL
 #else
-                             0
+                                0
 #endif
     );
     if (n < 0) {
       if (errno == EINTR) continue;
       fail_errno("send");
     }
-    sent += static_cast<std::size_t>(n);
+    // Skip what was written: whole parts, then a prefix of the next one.
+    auto sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
 }
 
@@ -158,25 +184,54 @@ Socket accept_one(const Socket& listener) {
   }
 }
 
+void LineReader::reserve_window() {
+  if (capacity_ - end_ >= kWindow) return;
+  // Move the unreturned bytes to the front, and grow when that still leaves
+  // less than a window free. The new buffer is not zero-filled.
+  const std::size_t kept = end_ - begin_;
+  if (kept + kWindow > capacity_) {
+    // Doubling, but never past what max_line lets the reader hold: the
+    // caller has checked that kept <= max_line_.
+    std::size_t capacity = std::max(2 * capacity_, kept + kWindow);
+    if (max_line_ != 0) capacity = std::min(capacity, max_line_ + kWindow);
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+    if (kept > 0) std::memcpy(grown.get(), buffer_.get() + begin_, kept);
+    buffer_ = std::move(grown);
+    capacity_ = capacity;
+  } else if (kept > 0) {
+    std::memmove(buffer_.get(), buffer_.get() + begin_, kept);
+  }
+  searched_ -= begin_;
+  begin_ = 0;
+  end_ = kept;
+}
+
 std::optional<std::string> LineReader::read_line() {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n', searched_);
-    const std::size_t length = nl == std::string::npos ? buffer_.size() : nl;
+    const char* const data = buffer_.get();
+    const auto* nl =
+        searched_ == end_
+            ? nullptr
+            : static_cast<const char*>(
+                  std::memchr(data + searched_, '\n', end_ - searched_));
+    const std::size_t length =
+        (nl != nullptr ? static_cast<std::size_t>(nl - data) : end_) - begin_;
     if (max_line_ != 0 && length > max_line_) {
       throw std::length_error("line exceeds " + std::to_string(max_line_) +
                               " bytes");
     }
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      searched_ = 0;
+    if (nl != nullptr) {
+      std::string line(data + begin_, length);
+      begin_ += length + 1;
+      if (begin_ == end_) begin_ = end_ = 0;
+      searched_ = begin_;
       return line;
     }
-    searched_ = buffer_.size();
+    searched_ = end_;
     if (eof_) return std::nullopt;
 
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    reserve_window();
+    const ssize_t n = ::recv(fd_, buffer_.get() + end_, kWindow, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       fail_errno("recv");
@@ -184,10 +239,10 @@ std::optional<std::string> LineReader::read_line() {
     if (n == 0) {
       eof_ = true;
       // Unterminated trailing bytes are dropped (protocol violation).
-      buffer_.clear();
+      begin_ = end_ = searched_ = 0;
       return std::nullopt;
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    end_ += static_cast<std::size_t>(n);
   }
 }
 

@@ -3,13 +3,17 @@
 // docs/SERVING.md) and localhost TCP as the fallback for environments
 // without a writable socket path.
 //
-// Scope is deliberately narrow — blocking sockets, full-message send, and a
-// buffered line reader for the newline-delimited JSON protocol. Failures
-// throw std::runtime_error with errno text; callers at the daemon boundary
-// convert them to loud stderr exits.
+// Scope is deliberately narrow — blocking sockets, full-message send of
+// several parts in one system call, and a buffered line reader for the
+// newline-delimited JSON protocol. Failures throw std::runtime_error with
+// errno text; callers at the daemon boundary convert them to loud stderr
+// exits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,9 +38,14 @@ class Socket {
   /// Closes the descriptor now (idempotent).
   void close();
 
-  /// Writes all of `data`, looping over partial writes; throws on error or
-  /// peer reset.
-  void send_all(std::string_view data) const;
+  /// Most parts one send_all() takes.
+  static constexpr std::size_t kMaxParts = 8;
+
+  /// Writes `parts` back to back, as one byte stream, with one sendmsg()
+  /// per partial write: none is copied into a joint buffer. Throws
+  /// std::invalid_argument for more than kMaxParts parts, and
+  /// std::runtime_error on error or peer reset.
+  void send_all(std::initializer_list<std::string_view> parts) const;
 
   /// Half-closes the write side so the peer sees EOF after our last byte.
   void shutdown_write() const;
@@ -71,22 +80,36 @@ Socket accept_one(const Socket& listener);
 /// connected socket (the newline is stripped). Returns std::nullopt at EOF;
 /// throws on read errors. Bytes after the last newline are discarded at EOF
 /// — the protocol requires every request/response line to be terminated.
-/// With a nonzero `max_line`, a line longer than that many bytes throws
-/// std::length_error (naming the limit) as soon as more than that many of
-/// its bytes have arrived, so the reader buffers at most `max_line` bytes
-/// plus one recv.
+///
+/// Each recv() writes up to kWindow bytes straight into the reader's own
+/// buffer, which is compacted or grown only when less than a window is free
+/// at its end, so a reply of tens of kilobytes arrives in one or two calls.
+/// Lines are returned as strings of exactly their size, and each byte is
+/// searched for '\n' once. With a nonzero `max_line`, a line longer than
+/// that many bytes throws std::length_error (naming the limit) as soon as
+/// more than that many of its bytes have arrived, so the reader buffers at
+/// most `max_line` bytes plus one window.
 class LineReader {
  public:
+  /// Bytes one recv() may add.
+  static constexpr std::size_t kWindow = std::size_t{64} << 10;
+
   explicit LineReader(const Socket& socket, std::size_t max_line = 0)
       : fd_(socket.fd()), max_line_(max_line) {}
 
   std::optional<std::string> read_line();
 
  private:
+  /// Makes room for one window after end_.
+  void reserve_window();
+
   int fd_ = -1;
   std::size_t max_line_ = 0;  ///< 0 = unbounded
-  std::string buffer_;
-  std::size_t searched_ = 0;  ///< buffer_ prefix already searched for '\n'
+  std::unique_ptr<char[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;     ///< first byte not yet returned
+  std::size_t end_ = 0;       ///< one past the last byte received
+  std::size_t searched_ = 0;  ///< [begin_, searched_) holds no '\n'
   bool eof_ = false;
 };
 

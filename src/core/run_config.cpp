@@ -3,16 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 
 #include "bsr/cluster.hpp"
 #include "bsr/registry.hpp"
+#include "common/chars.hpp"
 #include "core/decomposer.hpp"
 #include "faultcamp/process.hpp"
 #include "var/models.hpp"
 
 namespace bsr {
+
+namespace {
+
+/// Bytes reserved for a fingerprint. The paper grid's single-node configs
+/// with both blocks off fit (at most 255 bytes, seed included), so a grid's
+/// stored keys take no more than that; an enabled block grows it once.
+constexpr std::size_t kFingerprintReserve = 256;
+
+}  // namespace
 
 std::int64_t RunConfig::block() const {
   if (b > 0) return b;
@@ -137,77 +146,75 @@ void RunConfig::validate() const {
 }
 
 std::string RunConfig::fingerprint() const {
-  const auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
   std::string fp;
-  fp.reserve(256);
+  fp.reserve(kFingerprintReserve);
   fp += "fact=";
   fp += predict::to_string(factorization);
-  fp += ";n=" + std::to_string(n);
-  fp += ";b=" + std::to_string(block());
-  fp += ";elem=" + std::to_string(elem_bytes);
+  append_field(fp, ";n=", n);
+  append_field(fp, ";b=", block());
+  append_field(fp, ";elem=", elem_bytes);
   // Keys are canonicalized so "BSR", "bsr", and alias spellings ("org" vs
   // "original") fingerprint — and therefore cache — identically.
   const std::string strat = strategies().canonical(strategy);
-  fp += ";strategy=" + strat;
+  fp += ";strategy=";
+  fp += strat;
   // The BSR-only knobs a strategy ignores are normalized out
   // (core::bsr_knob_use has the rule): a (strategy x r) grid runs Original
   // once, not once per r.
   const core::BsrKnobUse use = core::bsr_knob_use(strat, devices);
   const RunConfig defaults;
   const RunConfig& knobs = use.knobs ? *this : defaults;
-  fp += ";r=" + num(knobs.reclamation_ratio);
-  fp += ";fc=" + num(use.fc ? fc_desired : defaults.fc_desired);
-  fp += ";gb=" + std::to_string(knobs.bsr_use_optimized_guardband);
-  fp += ";oc=" + std::to_string(knobs.bsr_allow_overclocking);
-  fp += ";pred=" + std::to_string(knobs.bsr_use_enhanced_predictor);
-  fp += ";abft=" + abft_policies().canonical(abft_policy);
+  append_field(fp, ";r=", knobs.reclamation_ratio);
+  append_field(fp, ";fc=", use.fc ? fc_desired : defaults.fc_desired);
+  append_field(fp, ";gb=", knobs.bsr_use_optimized_guardband);
+  append_field(fp, ";oc=", knobs.bsr_allow_overclocking);
+  append_field(fp, ";pred=", knobs.bsr_use_enhanced_predictor);
+  fp += ";abft=";
+  fp += abft_policies().canonical(abft_policy);
   // recover_uncorrectable only influences numeric execution; normalizing it
   // out in timing-only runs lets e.g. fig09's "Single" and "Single+recovery"
   // overhead rows share one cached timing run.
-  const bool recover =
-      mode == ExecutionMode::Numeric && recover_uncorrectable;
-  fp += ";recover=" + std::to_string(recover);
+  append_field(fp, ";recover=",
+               mode == ExecutionMode::Numeric && recover_uncorrectable);
   fp += ";mode=";
   fp += core::to_string(mode);
-  fp += ";seed=" + std::to_string(seed);
-  fp += ";erm=" + num(error_rate_multiplier);
-  fp += ";noise=" + std::to_string(noise_enabled);
+  append_field(fp, ";seed=", seed);
+  append_field(fp, ";erm=", error_rate_multiplier);
+  append_field(fp, ";noise=", noise_enabled);
   // Exactly one of the two platform keys applies per run, so the other is
   // normalized out (mirrors the BSR-knob normalization above): cluster runs
   // ignore the single-node `platform`, single-node runs ignore `cluster`.
-  fp += ";platform=" +
-        (devices >= 1 ? std::string("-") : platforms().canonical(platform));
-  fp += ";devices=" + std::to_string(devices);
-  fp += ";cluster=" + (devices >= 1 ? cluster_profiles().canonical(cluster)
-                                    : std::string("-"));
+  fp += ";platform=";
+  fp += devices >= 1 ? std::string("-") : platforms().canonical(platform);
+  append_field(fp, ";devices=", devices);
+  fp += ";cluster=";
+  fp += devices >= 1 ? cluster_profiles().canonical(cluster) : std::string("-");
   // Grid / collective / rebalance only drive cluster runs, and are recorded
   // *resolved* (never the literal "auto"), so an explicit layout and the
   // auto choice that resolves to it share one cache entry, while different
   // layouts on the same profile can never alias.
   if (devices >= 1) {
     const ResolvedClusterLayout lay = resolved_cluster_layout(*this);
-    fp += ";grid=" + std::to_string(lay.grid_p) + "x" +
-          std::to_string(lay.grid_q);
+    append_field(fp, ";grid=", lay.grid_p);
+    append_field(fp, "x", lay.grid_q);
     fp += ";coll=";
     switch (lay.schedule) {
       case cluster::BroadcastSchedule::Relay: fp += "relay"; break;
       case cluster::BroadcastSchedule::Ring: fp += "ring"; break;
       case cluster::BroadcastSchedule::Tree: fp += "tree"; break;
     }
-    fp += ";rebal=" + std::to_string(rebalance);
+    append_field(fp, ";rebal=", rebalance);
   } else {
     fp += ";grid=-;coll=-;rebal=0";
   }
   // Disabled variability collapses to "var=0" whatever the other fields say,
   // so toggling a block off restores the deterministic-world cache key.
-  fp += ';' + var::fingerprint_fragment(variability);
+  fp += ';';
+  var::append_fingerprint_fragment(fp, variability);
   // Same contract for the faults block ("flt=0" when disabled): a campaign
   // trial's faults-off baseline shares the deterministic world's cache key.
-  fp += ';' + faultcamp::fingerprint_fragment(faults);
+  fp += ';';
+  faultcamp::append_fingerprint_fragment(fp, faults);
   return fp;
 }
 

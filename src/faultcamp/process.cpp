@@ -1,8 +1,9 @@
 #include "faultcamp/process.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/chars.hpp"
 
 namespace bsr::faultcamp {
 
@@ -38,26 +39,23 @@ void validate(const Spec& spec) {
   if (!infinite.empty()) fail(infinite);
 }
 
-std::string fingerprint_fragment(const Spec& spec) {
-  if (!spec.enabled) return "flt=0";
-  const auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  std::string fp = "flt=1";
-  fp += ";fproc=";
-  fp += spec.process == ProcessKind::Poisson ? "poisson" : "fixed";
-  fp += ";frate=" + num(spec.rate_multiplier);
-  fp += ";fbg=" + num(spec.background_rate_per_s);
-  fp += ";fburst=" + num(spec.burst_mean);
-  fp += ";fhaz=" + num(spec.hazard_sigma);
-  fp += ";ffix=" + std::to_string(spec.fixed_d0) + "," +
-        std::to_string(spec.fixed_d1) + "," + std::to_string(spec.fixed_d2);
-  fp += ";fcorr=" + num(spec.correction_s);
-  fp += ";frb=" + std::to_string(spec.rollback);
-  fp += ";fseed=" + std::to_string(spec.seed);
-  return fp;
+void append_fingerprint_fragment(std::string& out, const Spec& spec) {
+  if (!spec.enabled) {
+    out += "flt=0";
+    return;
+  }
+  out += "flt=1;fproc=";
+  out += spec.process == ProcessKind::Poisson ? "poisson" : "fixed";
+  append_field(out, ";frate=", spec.rate_multiplier);
+  append_field(out, ";fbg=", spec.background_rate_per_s);
+  append_field(out, ";fburst=", spec.burst_mean);
+  append_field(out, ";fhaz=", spec.hazard_sigma);
+  append_field(out, ";ffix=", spec.fixed_d0);
+  append_field(out, ",", spec.fixed_d1);
+  append_field(out, ",", spec.fixed_d2);
+  append_field(out, ";fcorr=", spec.correction_s);
+  append_field(out, ";frb=", spec.rollback);
+  append_field(out, ";fseed=", spec.seed);
 }
 
 Resolution resolve(const FaultCounts& counts, abft::ChecksumMode mode,

@@ -14,7 +14,7 @@ Client Client::connect_tcp(std::uint16_t port) {
 }
 
 std::string Client::call_raw(const std::string& request_json) {
-  socket_.send_all(request_json + "\n");
+  socket_.send_all({request_json, "\n"});
   std::optional<std::string> line = reader_.read_line();
   if (!line.has_value()) {
     throw std::runtime_error("serve: daemon closed the connection");

@@ -1,21 +1,51 @@
 #include "serve/protocol.hpp"
 
 #include <stdexcept>
-#include <utility>
+
+#include "common/json.hpp"
 
 namespace bsr::serve {
 
-Request parse_request(const std::string& line) {
+Request parse_request(std::string_view line) {
   Request req;
-  req.body = JsonValue::parse(line);
-  if (!req.body.is_object()) {
-    throw std::runtime_error("request must be a JSON object");
+  JsonCursor c(line);
+  const bool object = c.peek() == '{';
+  bool has_op = false;
+  bool op_is_string = false;
+  // The text of the value at the cursor, which is read past it.
+  const auto span = [&] {
+    const std::size_t from = c.offset();
+    c.skip();
+    return line.substr(from, c.offset() - from);
+  };
+  if (!object) {
+    c.skip();
+  } else if (c.begin_object()) {
+    do {
+      const std::string_view key = c.key();
+      if (key == "op" && !has_op) {
+        has_op = true;
+        op_is_string = c.peek() == '"';
+        if (op_is_string) {
+          req.op = c.token().as_string();
+        } else {
+          c.skip();
+        }
+      } else if (key == "config" && req.config.empty()) {
+        req.config = span();
+      } else if (key == "axes" && req.axes.empty()) {
+        req.axes = span();
+      } else {
+        c.skip();
+      }
+    } while (c.next_member());
   }
-  const JsonValue* op = req.body.find("op");
-  if (op == nullptr || !op->is_string()) {
+  c.finish();
+
+  if (!object) throw std::runtime_error("request must be a JSON object");
+  if (!op_is_string) {
     throw std::runtime_error("request needs a string \"op\" field");
   }
-  req.op = op->as_string();
   if (req.op != "run" && req.op != "sweep" && req.op != "stats" &&
       req.op != "metrics" && req.op != "shutdown") {
     throw std::runtime_error(

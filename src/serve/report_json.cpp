@@ -1,33 +1,25 @@
 #include "serve/report_json.hpp"
 
 #include <bitset>
-#include <concepts>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/ascii.hpp"
+#include "serve/config_fields.hpp"
 
 namespace bsr::serve {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("report_json: " + what);
-}
-
 // ---- scalar codecs ----------------------------------------------------------
 // A member's C++ type picks its codec: put() writes it, get() reads it back
-// from a token, which the text reader takes from its cursor and the request
-// reader from a tree (common/json.hpp). Enums use the repo's to_string()
-// spellings (ChecksumMode its integer value) and the parsers accept exactly
-// those (registry-key case-insensitivity is a CLI nicety, not a wire-format
-// one — this module only reads its own output).
+// from a cursor's token (config_fields.hpp has the readers of the config's
+// types). Enums use the repo's to_string() spellings (ChecksumMode its
+// integer value) and the parsers accept exactly those (registry-key
+// case-insensitivity is a CLI nicety, not a wire-format one — this module
+// only reads its own output).
 
 void put(JsonWriter& w, bool x) { w.value(x); }
 void put(JsonWriter& w, int x) { w.value(x); }
@@ -43,37 +35,7 @@ void put(JsonWriter& w, faultcamp::ProcessKind x) {
 }
 void put(JsonWriter& w, abft::ChecksumMode x) { w.value(static_cast<int>(x)); }
 
-void get(const JsonToken& t, bool& x) { x = t.as_bool(); }
-// Refuses rather than narrows: a wrapped value (4294967298 -> 2) would be a
-// different, valid-looking config.
-void get(const JsonToken& t, int& x) {
-  const std::int64_t i = t.to_int64();
-  if (i < std::numeric_limits<int>::min() ||
-      i > std::numeric_limits<int>::max()) {
-    fail("integer " + std::to_string(i) + " is out of int range");
-  }
-  x = static_cast<int>(i);
-}
-void get(const JsonToken& t, std::int64_t& x) { x = t.to_int64(); }
-void get(const JsonToken& t, std::uint64_t& x) { x = t.to_uint64(); }
-void get(const JsonToken& t, double& x) { x = t.to_double(); }
-void get(const JsonToken& t, std::string& x) { x = t.as_string(); }
 void get(const JsonToken& t, SimTime& x) { x = SimTime(t.to_int64()); }
-void get(const JsonToken& t, Factorization& x) {
-  x = core::factorization_from_string(std::string(t.as_string()));
-}
-void get(const JsonToken& t, ExecutionMode& x) {
-  const std::string_view s = t.as_string();
-  if (s == "TimingOnly") x = ExecutionMode::TimingOnly;
-  else if (s == "Numeric") x = ExecutionMode::Numeric;
-  else fail("unknown ExecutionMode \"" + std::string(s) + "\"");
-}
-void get(const JsonToken& t, faultcamp::ProcessKind& x) {
-  const std::string_view s = t.as_string();
-  if (s == "Poisson") x = faultcamp::ProcessKind::Poisson;
-  else if (s == "Fixed") x = faultcamp::ProcessKind::Fixed;
-  else fail("unknown ProcessKind \"" + std::string(s) + "\"");
-}
 void get(const JsonToken& t, abft::ChecksumMode& x) {
   const std::int64_t i = t.to_int64();  // None = 0, SingleSide = 1, Full = 2
   if (i < 0 || i > 2) fail("ChecksumMode out of range: " + std::to_string(i));
@@ -81,68 +43,10 @@ void get(const JsonToken& t, abft::ChecksumMode& x) {
 }
 
 // ---- field lists ------------------------------------------------------------
-// One list per wire struct, and the only place a member's wire name lives:
-// fields(s, visit) calls visit(key, member) for every serialized member, in
-// wire order. `s` may be const (the writer) or mutable (the readers).
-
-/// `S` is `T`, const or not.
-template <typename S, typename T>
-concept Of = std::same_as<std::remove_const_t<S>, T>;
-
-void fields(Of<var::Spec> auto& s, auto&& visit) {
-  visit("enabled", s.enabled);
-  visit("drift", s.drift);
-  visit("drift_cap", s.drift_cap);
-  visit("transfer_jitter", s.transfer_jitter);
-  visit("dvfs_jitter", s.dvfs_jitter);
-  visit("freq_quantum_mhz", s.freq_quantum_mhz);
-  visit("boost_budget_s", s.boost_budget_s);
-  visit("boost_recovery", s.boost_recovery);
-  visit("seed", s.seed);
-}
-
-void fields(Of<faultcamp::Spec> auto& s, auto&& visit) {
-  visit("enabled", s.enabled);
-  visit("process", s.process);
-  visit("rate_multiplier", s.rate_multiplier);
-  visit("background_rate_per_s", s.background_rate_per_s);
-  visit("burst_mean", s.burst_mean);
-  visit("hazard_sigma", s.hazard_sigma);
-  visit("fixed_d0", s.fixed_d0);
-  visit("fixed_d1", s.fixed_d1);
-  visit("fixed_d2", s.fixed_d2);
-  visit("correction_s", s.correction_s);
-  visit("rollback", s.rollback);
-  visit("seed", s.seed);
-}
-
-void fields(Of<RunConfig> auto& s, auto&& visit) {
-  visit("factorization", s.factorization);
-  visit("n", s.n);
-  visit("b", s.b);
-  visit("elem_bytes", s.elem_bytes);
-  visit("strategy", s.strategy);
-  visit("reclamation_ratio", s.reclamation_ratio);
-  visit("fc_desired", s.fc_desired);
-  visit("bsr_use_optimized_guardband", s.bsr_use_optimized_guardband);
-  visit("bsr_allow_overclocking", s.bsr_allow_overclocking);
-  visit("bsr_use_enhanced_predictor", s.bsr_use_enhanced_predictor);
-  visit("abft_policy", s.abft_policy);
-  visit("recover_uncorrectable", s.recover_uncorrectable);
-  visit("mode", s.mode);
-  visit("seed", s.seed);
-  visit("error_rate_multiplier", s.error_rate_multiplier);
-  visit("noise_enabled", s.noise_enabled);
-  visit("platform", s.platform);
-  visit("variability", s.variability);
-  visit("faults", s.faults);
-  visit("devices", s.devices);
-  visit("cluster", s.cluster);
-  visit("grid_p", s.grid_p);
-  visit("grid_q", s.grid_q);
-  visit("collective", s.collective);
-  visit("rebalance", s.rebalance);
-}
+// One list per report struct, and the only place a member's wire name lives
+// (config_fields.hpp has the config's lists): fields(s, visit) calls
+// visit(key, member) for every serialized member, in wire order. `s` may be
+// const (the writer) or mutable (the reader).
 
 void fields(Of<sched::IterationOutcome> auto& s, auto&& visit) {
   visit("k", s.k);
@@ -244,18 +148,6 @@ void fields(Of<core::RunReport> auto& s, auto&& visit) {
 }
 
 // ---- codecs generated from the lists ----------------------------------------
-
-/// A visitor that accepts every member: the probe behind Listed.
-struct AnyField {
-  void operator()(std::string_view /*key*/, const auto& /*member*/) const {}
-};
-
-/// Whether a member's key is `key`. Spelled out so that the compare against
-/// a field's literal expands inline instead of calling string_view::compare.
-bool same_key(std::string_view a, std::string_view key) {
-  return a.size() == key.size() &&
-         std::memcmp(a.data(), key.data(), key.size()) == 0;
-}
 
 /// A struct with a field list.
 template <typename T>
@@ -378,37 +270,6 @@ void read(JsonCursor& c, std::vector<T>& xs) {
   } while (c.next_item());
 }
 
-/// The lenient request reader. Request configs are hand-written, so an absent
-/// key keeps its default, in nested blocks too; but an unknown key throws
-/// (`what` names the block), and a repeated key replaces its earlier value.
-template <Listed T>
-void get_lenient(const JsonValue& v, T& s, const std::string& what);
-
-/// One request member into `member`: a nested block from its defaults. A
-/// function of its own, so that the key search below inlines.
-template <typename T>
-void read_lenient(const JsonValue& v, T& member, const std::string& key) {
-  if constexpr (Listed<T>) {
-    member = {};
-    get_lenient(v, member, key);
-  } else {
-    get(v.token(), member);
-  }
-}
-
-template <Listed T>
-void get_lenient(const JsonValue& v, T& s, const std::string& what) {
-  for (const auto& [key, value] : v.members()) {
-    bool known = false;
-    fields(s, [&](std::string_view k, auto& member) {
-      if (known || !same_key(key, k)) return;
-      known = true;
-      read_lenient(value, member, key);
-    });
-    if (!known) fail("unknown " + what + " field \"" + key + "\"");
-  }
-}
-
 // ---- RunReport::config: the "options" echo ---------------------------------
 // A report echoes the paper's per-run knobs of the config it ran, with the
 // strategy in its StrategyKind spelling; the other RunConfig fields are not
@@ -504,12 +365,6 @@ std::string serialize_config(const RunConfig& c) {
   JsonWriter w;
   put(w, c);
   return w.take();
-}
-
-RunConfig config_from_json(const JsonValue& value) {
-  RunConfig c;
-  get_lenient(value, c, "config");
-  return c;
 }
 
 }  // namespace bsr::serve

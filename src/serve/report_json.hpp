@@ -17,19 +17,21 @@
 // strings (they can exceed the int64 range JSON numbers round-trip safely).
 //
 // Each wire struct (RunConfig, its variability and faults blocks, and every
-// report struct) has one field list in report_json.cpp, and a field's wire
-// name lives there and nowhere else: the writer, the strict report reader
-// (straight from the text, over a JsonCursor) and the lenient request
-// reader (over a JsonValue tree) are all generated from it, with the
-// member's C++ type picking its codec. Only the report's frozen "options"
-// echo has a hand-written list. A new RunConfig field therefore needs one
-// line in RunConfig's list, plus its checks in RunConfig::validate() and
-// its spelling in RunConfig::fingerprint();
+// report struct) has one field list, and a field's wire name lives there
+// and nowhere else: config_fields.hpp holds the config's lists and
+// report_json.cpp the report's. The writer, the strict report reader and
+// the lenient request reader (config_json.cpp) are all generated from them,
+// each reading straight from the text over a JsonCursor, with the member's
+// C++ type picking its codec. Only the report's frozen "options" echo has a
+// hand-written list. A new RunConfig field therefore needs one line in
+// RunConfig's list, plus its checks in RunConfig::validate() and its
+// spelling in RunConfig::fingerprint();
 // ConfigJson.EverySerializedFieldReachesTheFingerprint fails until the
 // fingerprint line exists.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "bsr/run_config.hpp"
 #include "common/json.hpp"
@@ -55,11 +57,17 @@ core::RunReport read_report(JsonCursor& cursor);
 /// config_from_json (field names match the RunConfig members).
 std::string serialize_config(const RunConfig& config);
 
-/// Builds a RunConfig from a request's "config" object. Every member is
-/// optional — absent fields keep their RunConfig defaults — but unknown
-/// keys throw (a typo'd knob must not silently run the default experiment).
-/// The result is NOT validated; callers run cfg.validate() so registry-key
-/// errors surface with RunConfig's own messages.
+/// Builds a RunConfig from the text of a request's "config" object, read
+/// once with no tree in between. Every member is optional — absent fields
+/// keep their RunConfig defaults — but unknown keys throw (a typo'd knob
+/// must not silently run the default experiment), and a repeated key's last
+/// value wins. Errors come in member order, so text whose syntax is already
+/// checked (serve/protocol.hpp's spans) throws exactly what a tree reader
+/// would. The result is NOT validated; callers run cfg.validate() so
+/// registry-key errors surface with RunConfig's own messages.
+RunConfig config_from_json(std::string_view text);
+
+/// config_from_json() of a parsed config object's text (value.dump()).
 RunConfig config_from_json(const JsonValue& value);
 
 }  // namespace bsr::serve

@@ -8,6 +8,8 @@
 #include <future>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -184,7 +186,7 @@ void Server::accept_loop() {
       // Refused by admission control: one explicit backpressure line, then
       // close. Never enqueue beyond queue_depth.
       try {
-        conn.send_all(overloaded_response() + "\n");
+        conn.send_all({overloaded_response(), "\n"});
       } catch (const std::exception&) {
         // Peer vanished before reading the rejection; nothing to do.
       }
@@ -232,7 +234,7 @@ void Server::serve_connection(Socket conn) {
     // with the rest of the line unread.
     count(&ServeStats::bad_requests, metrics_.bad_requests);
     try {
-      conn.send_all(error_response(e.what(), /*retry=*/false) + "\n");
+      conn.send_all({error_response(e.what(), /*retry=*/false), "\n"});
     } catch (const std::exception&) {
       // Peer vanished before reading the refusal; nothing to do.
     }
@@ -247,15 +249,17 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string op;
   std::string response;
+  // A run's cached report, sent between `response` and its closing brace.
+  std::shared_ptr<const std::string> report;
   bool keep_open = true;
   bool shutdown = false;
   try {
     const Request req = parse_request(line);
     op = req.op;
     if (req.op == "run") {
-      response = handle_run(req.body);
+      std::tie(response, report) = handle_run(req.config);
     } else if (req.op == "sweep") {
-      response = handle_sweep(req.body);
+      response = handle_sweep(req);
     } else if (req.op == "stats") {
       response = handle_stats();
     } else if (req.op == "metrics") {
@@ -281,8 +285,11 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
   } else if (op == "sweep") {
     metrics_.sweep_latency.observe(elapsed);
   }
-  response += '\n';  // frames the reply in place, not in a second copy
-  conn.send_all(response);
+  if (report != nullptr) {
+    conn.send_all({response, *report, "}\n"});
+  } else {
+    conn.send_all({response, "\n"});
+  }
   if (shutdown) {
     // Flag the daemon down; the actual joins happen in wait()/stop() on a
     // non-worker thread. Mark stopping first so idle workers drain out.
@@ -364,13 +371,13 @@ std::pair<CachedResult, const char*> Server::resolve(
   return {std::move(value), from_store ? "store" : "executed"};
 }
 
-std::string Server::handle_run(const JsonValue& body) {
-  const JsonValue* cfg_json = body.find("config");
+std::pair<std::string, std::shared_ptr<const std::string>> Server::handle_run(
+    std::string_view config) {
   const RunConfig cfg =
-      cfg_json != nullptr ? config_from_json(*cfg_json) : RunConfig{};
+      config.empty() ? RunConfig{} : config_from_json(config);
   cfg.validate();
   const std::string fingerprint = cfg.fingerprint();
-  const auto [entry, source] = resolve(cfg, fingerprint);
+  auto [entry, source] = resolve(cfg, fingerprint);
 
   JsonWriter w;
   w.obj_open();
@@ -378,22 +385,20 @@ std::string Server::handle_run(const JsonValue& body) {
   w.key("op").value("run");
   w.key("source").value(source);
   w.key("fingerprint").value(fingerprint);
-  w.key("report").raw(*entry.json);
-  w.obj_close();
-  return w.take();
+  w.key("report");
+  return {w.take(), std::move(entry.json)};
 }
 
-std::string Server::handle_sweep(const JsonValue& body) {
-  const JsonValue* cfg_json = body.find("config");
+std::string Server::handle_sweep(const Request& req) {
   const RunConfig base =
-      cfg_json != nullptr ? config_from_json(*cfg_json) : RunConfig{};
+      req.config.empty() ? RunConfig{} : config_from_json(req.config);
 
   // Axes expand outermost-first in the order the request lists them (the
   // parser preserves member order).
   std::vector<Axis> axes;
-  const JsonValue* axes_json = body.find("axes");
-  if (axes_json != nullptr) {
-    for (const auto& [name, values] : axes_json->members()) {
+  if (!req.axes.empty()) {
+    const JsonValue axes_json = JsonValue::parse(req.axes);
+    for (const auto& [name, values] : axes_json.members()) {
       const std::vector<JsonValue>& items = values.items();
       Axis axis;
       if (name == "strategy" || name == "abft") {

@@ -35,13 +35,16 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "bsr/run_config.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/socket.hpp"
 #include "core/report.hpp"
+#include "serve/protocol.hpp"
 #include "serve/store.hpp"
 
 namespace bsr::serve {
@@ -149,8 +152,11 @@ class Server {
   /// Dispatches one request line; returns false when the connection should
   /// close (shutdown op).
   bool handle_line(const std::string& line, const Socket& conn);
-  std::string handle_run(const JsonValue& body);
-  std::string handle_sweep(const JsonValue& body);
+  /// The run op's reply up to its "report" key, and the cached report that
+  /// follows it, sent as it is held instead of copied into the reply.
+  std::pair<std::string, std::shared_ptr<const std::string>> handle_run(
+      std::string_view config);
+  std::string handle_sweep(const Request& req);
   std::string handle_stats();
   std::string handle_metrics();
   /// Adds one to a ServeStats counter and its registry mirror.

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "common/chars.hpp"
 
 namespace bsr::var {
 
@@ -42,23 +43,20 @@ void validate(const Spec& spec) {
   if (!infinite.empty()) fail(infinite);
 }
 
-std::string fingerprint_fragment(const Spec& spec) {
-  if (!spec.enabled) return "var=0";
-  const auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  std::string fp = "var=1";
-  fp += ";vdrift=" + num(spec.drift);
-  fp += ";vcap=" + num(spec.drift_cap);
-  fp += ";vtj=" + num(spec.transfer_jitter);
-  fp += ";vdvfs=" + num(spec.dvfs_jitter);
-  fp += ";vq=" + std::to_string(spec.freq_quantum_mhz);
-  fp += ";vboost=" + num(spec.boost_budget_s);
-  fp += ";vrec=" + num(spec.boost_recovery);
-  fp += ";vseed=" + std::to_string(spec.seed);
-  return fp;
+void append_fingerprint_fragment(std::string& out, const Spec& spec) {
+  if (!spec.enabled) {
+    out += "var=0";
+    return;
+  }
+  out += "var=1";
+  append_field(out, ";vdrift=", spec.drift);
+  append_field(out, ";vcap=", spec.drift_cap);
+  append_field(out, ";vtj=", spec.transfer_jitter);
+  append_field(out, ";vdvfs=", spec.dvfs_jitter);
+  append_field(out, ";vq=", spec.freq_quantum_mhz);
+  append_field(out, ";vboost=", spec.boost_budget_s);
+  append_field(out, ";vrec=", spec.boost_recovery);
+  append_field(out, ";vseed=", spec.seed);
 }
 
 std::uint64_t derive_stream_seed(std::uint64_t root, std::uint64_t stream) {

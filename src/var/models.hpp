@@ -86,11 +86,11 @@ struct Spec {
 /// boost_recovery <= 0, or an infinite double.
 void validate(const Spec& spec);
 
-/// Canonical "key=value;"-style fragment of every field, for
-/// RunConfig::fingerprint(). A disabled spec collapses to "var=0" regardless
-/// of the other fields (they have no effect), so enabling-and-disabling
-/// round-trips to the same cache key.
-std::string fingerprint_fragment(const Spec& spec);
+/// Appends the canonical "key=value;"-style fragment of every field to
+/// `out`, for RunConfig::fingerprint(). A disabled spec collapses to "var=0"
+/// regardless of the other fields (they have no effect), so
+/// enabling-and-disabling round-trips to the same cache key.
+void append_fingerprint_fragment(std::string& out, const Spec& spec);
 
 /// splitmix64 stream derivation — the same mixing as bsr::derive_cell_seed,
 /// so variability streams are decorrelated from each other and from sweep

@@ -64,6 +64,13 @@ TEST(FaultSpecValidate, RejectsOutOfRangeFields) {
   validate(Spec{});  // the default is valid
 }
 
+/// The fragment appended to an empty string.
+std::string fingerprint_fragment(const Spec& spec) {
+  std::string out;
+  append_fingerprint_fragment(out, spec);
+  return out;
+}
+
 TEST(FaultSpecFingerprint, DisabledCollapsesToOneKey) {
   Spec loud;
   loud.rate_multiplier = 99.0;
@@ -75,6 +82,10 @@ TEST(FaultSpecFingerprint, DisabledCollapsesToOneKey) {
   loud.enabled = true;
   const std::string on = fingerprint_fragment(loud);
   EXPECT_NE(on, "flt=0");
+  // The fragment is appended after what the buffer already holds.
+  std::string out = "var=0;";
+  append_fingerprint_fragment(out, loud);
+  EXPECT_EQ(out, "var=0;" + on);
   Spec other = loud;
   other.rate_multiplier = 98.0;
   EXPECT_NE(fingerprint_fragment(other), on);

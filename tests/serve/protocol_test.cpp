@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
+
 namespace bsr::serve {
 namespace {
 
@@ -15,9 +17,17 @@ TEST(Protocol, ParsesTheFourOps) {
   EXPECT_EQ(parse_request(R"({"op":"shutdown"})").op, "shutdown");
 }
 
-TEST(Protocol, BodyCarriesTheWholeRequestObject) {
+TEST(Protocol, SpansCarryTheFirstConfigAndAxesText) {
   const Request req = parse_request(R"({"op":"run","config":{"n":4096}})");
-  EXPECT_EQ(req.body.at("config").at("n").to_int64(), 4096);
+  EXPECT_EQ(req.config, R"({"n":4096})");
+  EXPECT_TRUE(req.axes.empty());
+  // The first of a repeated member counts, and a span keeps the whitespace
+  // before its value.
+  const Request sweep = parse_request(
+      R"({"axes": {"n":[1]},"op":"sweep","config":{},"axes":{"r":[0]}})");
+  EXPECT_EQ(sweep.op, "sweep");
+  EXPECT_EQ(sweep.config, "{}");
+  EXPECT_EQ(sweep.axes, R"( {"n":[1]})");
 }
 
 TEST(Protocol, RejectsMalformedRequests) {

@@ -10,13 +10,11 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <barrier>
 #include <chrono>
-#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -693,7 +691,7 @@ TEST(ServerTest, OversizedRequestLineIsRefusedAndTheDaemonKeepsServing) {
               0);
     // 1 MiB + 4 KB and no newline: past the daemon's 1 MiB request bound.
     try {
-      conn.send_all(std::string((std::size_t{1} << 20) + 4096, 'x'));
+      conn.send_all({std::string((std::size_t{1} << 20) + 4096, 'x')});
     } catch (const std::runtime_error&) {
       // The daemon may close before it has read the whole line.
     }
@@ -846,37 +844,26 @@ TEST(ServerTest, StopIsIdempotentAndUnlinksTheUnixSocket) {
 TEST(ServerTest, StopReturnsAfterTheSocketDirectoryIsRemoved) {
   // A cleanup that removes the daemon's directory right after a SIGTERM
   // leaves no socket path to connect to, so stop() must wake accept()
-  // without one. The daemon runs in a child process, so a hang fails this
-  // test after 10 s instead of stalling the suite.
+  // without one. The daemon runs in a death-test child started from a fresh
+  // exec of this binary, so it inherits no thread or sanitizer state from
+  // the tests before it; alarm(10) kills a child whose stop() hangs, which
+  // fails this test after 10 s instead of stalling the suite.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const std::string dir = fresh_dir("gone");
   std::filesystem::create_directories(dir);
-  const pid_t child = ::fork();
-  ASSERT_NE(child, -1);
-  if (child == 0) {
-    ServerConfig cfg;
-    cfg.socket_path = dir + "/bsr.sock";
-    cfg.workers = 1;
-    Server server(std::move(cfg));
-    server.start();
-    std::filesystem::remove_all(dir);
-    server.stop();
-    ::_exit(server.running() ? 1 : 0);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  int status = 0;
-  pid_t reaped = 0;
-  while ((reaped = ::waitpid(child, &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (reaped == 0) {
-    ::kill(child, SIGKILL);
-    ::waitpid(child, &status, 0);
-    FAIL() << "stop() did not return within 10 s";
-  }
-  ASSERT_EQ(reaped, child);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EXIT(
+      {
+        ::alarm(10);
+        ServerConfig cfg;
+        cfg.socket_path = dir + "/bsr.sock";
+        cfg.workers = 1;
+        Server server(std::move(cfg));
+        server.start();
+        std::filesystem::remove_all(dir);
+        server.stop();
+        ::_exit(server.running() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -60,11 +60,22 @@ TEST(Validate, RejectsOutOfRangeFields) {
 
 // ---- fingerprint fragment ---------------------------------------------------
 
+/// The fragment appended to an empty string.
+std::string fingerprint_fragment(const Spec& spec) {
+  std::string out;
+  append_fingerprint_fragment(out, spec);
+  return out;
+}
+
 TEST(FingerprintFragment, DisabledCollapsesToConstant) {
   Spec s = enabled_spec();
   s.enabled = false;
   EXPECT_EQ(fingerprint_fragment(s), "var=0");
   EXPECT_EQ(fingerprint_fragment(Spec{}), "var=0");
+  // The fragment is appended after what the buffer already holds.
+  std::string out = "seed=1;";
+  append_fingerprint_fragment(out, s);
+  EXPECT_EQ(out, "seed=1;var=0");
 }
 
 TEST(FingerprintFragment, EveryFieldSignificantWhenEnabled) {

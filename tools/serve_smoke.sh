@@ -7,8 +7,9 @@
 # file, and store hits that answer with the cold bytes, also from a record
 # whose report holds whitespace the writer never puts there. Then a burst of
 # 8 concurrent identical requests to a memory-only daemon must execute once
-# and answer 8 identical reports. Last, a daemon must exit after SIGTERM
-# although its directory is already gone.
+# and answer 8 identical reports, and a reply larger than the client's
+# receive window must repeat byte for byte from memory. Last, a daemon must
+# exit after SIGTERM although its directory is already gone.
 # Exits 0 on success, non-zero with the failing step on stderr otherwise.
 #
 # Usage: tools/serve_smoke.sh [build-dir]   (default: build)
@@ -198,6 +199,24 @@ MEMORY_HITS=$(echo "$STATS" | grep -o '"memory_hits":[0-9]*' | cut -d: -f2)
 COALESCED=$(echo "$STATS" | grep -o '"coalesced":[0-9]*' | cut -d: -f2)
 [ $((MEMORY_HITS + COALESCED)) -eq 7 ] \
     || fail "burst: expected memory_hits + coalesced = 7: $STATS"
+
+# A report larger than the reader's 64 KiB receive window (n = 30720 with
+# b = 32: 960 iterations, about 0.6 MB). The repeat is a memory hit, whose
+# report is sent without a copy; apart from its source tag it must be the
+# first reply byte for byte.
+LARGE_CONFIG='{"n":30720,"b":32}'
+LARGE=$("$SERVECTL" --socket "$BURST_SOCKET" --op run --config "$LARGE_CONFIG") \
+    || fail "large run request failed"
+echo "$LARGE" | grep -q '"source":"executed"' \
+    || fail "large run not executed"
+[ "${#LARGE}" -gt 65536 ] || fail "large reply has only ${#LARGE} bytes"
+LARGE_AGAIN=$("$SERVECTL" --socket "$BURST_SOCKET" --op run \
+    --config "$LARGE_CONFIG") || fail "large repeat request failed"
+echo "$LARGE_AGAIN" | grep -q '"source":"memory"' \
+    || fail "large repeat was not a memory-cache hit"
+[ "${LARGE_AGAIN/\"source\":\"memory\"/\"source\":\"executed\"}" = "$LARGE" ] \
+    || fail "large repeat differs from the first reply"
+
 "$SERVECTL" --socket "$BURST_SOCKET" --op shutdown >/dev/null \
     || fail "burst shutdown request failed"
 wait "$SERVED_PID" || fail "burst daemon exited non-zero after shutdown"
@@ -233,5 +252,5 @@ wait "$SERVED_PID" || fail "daemon exited non-zero after SIGTERM"
 SERVED_PID=""
 
 echo "serve_smoke: OK (cold executed, repeat from memory, restart from store," \
-     "spaced record from store, burst executed once, SIGTERM without a" \
-     "directory)"
+     "spaced record from store, burst executed once, large reply repeated" \
+     "from memory, SIGTERM without a directory)"
