@@ -412,35 +412,35 @@ std::string json_double(double v) {
 // ---- JsonWriter -------------------------------------------------------------
 
 void JsonWriter::comma() {
-  if (!needs_comma_.empty()) {
-    if (needs_comma_.back()) out_ += ',';
-    needs_comma_.back() = true;
-  }
+  // No comma where nothing precedes this token in its container: there the
+  // last byte is the container's '{' or '[', or the ':' of the key this
+  // value belongs to. No complete value ends with one of those bytes (a
+  // string ends with '"', a number with a digit, a literal with a letter, a
+  // container with '}' or ']'), so they mark exactly those places.
+  if (out_.empty()) return;
+  const char last = out_.back();
+  if (last != '{' && last != '[' && last != ':') out_ += ',';
 }
 
 JsonWriter& JsonWriter::obj_open() {
   comma();
   out_ += '{';
-  needs_comma_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::obj_close() {
   out_ += '}';
-  needs_comma_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::arr_open() {
   comma();
   out_ += '[';
-  needs_comma_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::arr_close() {
   out_ += ']';
-  needs_comma_.pop_back();
   return *this;
 }
 
@@ -448,36 +448,42 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   comma();
   append_quoted(out_, k);
   out_ += ':';
-  // The value that follows must not emit another comma.
-  if (!needs_comma_.empty()) needs_comma_.back() = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::plain_key(std::string_view k) {
+  comma();
+  out_ += '"';
+  out_ += k;
+  out_ += "\":";
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   comma();
   append_quoted(out_, s);
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool b) {
   comma();
   out_ += b ? "true" : "false";
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   comma();
   append_double(out_, v);
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   comma();
-  append_chars(out_, v);
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
+  if (v >= 0 && v <= 9) {
+    out_ += static_cast<char>('0' + v);  // most of a report's counters
+  } else {
+    append_chars(out_, v);
+  }
   return *this;
 }
 
@@ -486,14 +492,12 @@ JsonWriter& JsonWriter::value_u64(std::uint64_t v) {
   out_ += '"';
   append_chars(out_, v);
   out_ += '"';
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::raw(std::string_view json) {
   comma();
   out_ += json;
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 

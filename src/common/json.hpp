@@ -401,6 +401,11 @@ std::string json_double(double v);
 ///   w.key("xs"); w.arr_open(); w.value(1.5); w.arr_close();
 ///   w.obj_close();
 ///   w.str();  // {"n":4096,"xs":[1.5]}
+///
+/// A comma goes before every value, key and container unless the last byte
+/// written is '{', '[' or a key's ':'. That is exactly where a comma belongs
+/// for any well-formed call sequence: one top-level value, a key before
+/// each object member, and raw() given one whole JSON value.
 class JsonWriter {
  public:
   JsonWriter& obj_open();
@@ -409,6 +414,10 @@ class JsonWriter {
   JsonWriter& arr_close();
   /// Emits the member key (inside an object, before each value).
   JsonWriter& key(std::string_view k);
+  /// key() for a key that needs no escaping, copied as it is: `k` must hold
+  /// no '"', '\\' or control character (serve/report_json's field-list
+  /// keys are [a-z0-9_]+).
+  JsonWriter& plain_key(std::string_view k);
   JsonWriter& value(std::string_view s);  ///< string value (escaped)
   JsonWriter& value(const char* s) { return value(std::string_view(s)); }
   JsonWriter& value(bool b);
@@ -420,6 +429,8 @@ class JsonWriter {
   /// Splices pre-serialized JSON verbatim (e.g. a stored report payload).
   JsonWriter& raw(std::string_view json);
 
+  /// Makes room for a document of `bytes` without regrowing.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
   /// The document built so far.
   [[nodiscard]] const std::string& str() const { return out_; }
   /// Moves the document out (the writer is spent afterwards).
@@ -429,7 +440,6 @@ class JsonWriter {
   void comma();
 
   std::string out_;
-  std::vector<bool> needs_comma_;  // one nesting level per open container
 };
 
 }  // namespace bsr

@@ -40,7 +40,9 @@
 namespace bsr::serve {
 
 /// Deterministic compact JSON for one report (the config echo, the full
-/// iteration trace, device_usage, lane_faults, and every other field).
+/// iteration trace, device_usage, lane_faults, and every other field). The
+/// string's capacity is its size: callers that keep reports, such as the
+/// daemon's result table, hold no spare bytes.
 std::string serialize_report(const core::RunReport& report);
 
 /// Rebuilds a report from serialize_report() output, reading the text once

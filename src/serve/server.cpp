@@ -11,6 +11,7 @@
 #include <string_view>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bsr/sweep.hpp"
@@ -37,6 +38,17 @@ CachedResult make_cached(const core::RunReport& report, std::string json) {
   e.ed2p = report.ed2p();
   e.gflops = report.gflops();
   return e;
+}
+
+/// The message of the exception being handled.
+std::string current_error_message() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
 }
 
 /// Seconds elapsed on the operational (steady) clock — never the simulated
@@ -310,10 +322,10 @@ bool Server::handle_line(const std::string& line, const Socket& conn) {
 std::pair<CachedResult, const char*> Server::resolve(
     const RunConfig& cfg, const std::string& fingerprint) {
   count(&ServeStats::runs, metrics_.runs);
-  std::shared_future<CachedResult> result;
+  std::shared_future<Outcome> result;
   // Engaged for the first request for fp, which loads or runs it and
   // publishes the outcome to every request that waits meanwhile.
-  std::optional<std::promise<CachedResult>> first;
+  std::optional<std::promise<Outcome>> first;
   bool ready = false;
   {
     const std::lock_guard<std::mutex> lock(results_mutex_);
@@ -329,8 +341,12 @@ std::pair<CachedResult, const char*> Server::resolve(
     }
   }
   if (!first) {
-    // get() rethrows a failed run's error in every request that waited.
-    CachedResult hit = result.get();
+    // A failed run's error is thrown anew in every request that waited.
+    const Outcome& outcome = result.get();
+    if (const std::string* error = std::get_if<std::string>(&outcome)) {
+      throw std::runtime_error(*error);
+    }
+    CachedResult hit = std::get<CachedResult>(outcome);
     if (ready) {
       count(&ServeStats::memory_hits, metrics_.memory_hits);
     } else {
@@ -359,7 +375,8 @@ std::pair<CachedResult, const char*> Server::resolve(
       const std::lock_guard<std::mutex> lock(results_mutex_);
       results_.erase(fingerprint);
     }
-    first->set_exception(std::current_exception());
+    // The waiters get the message; this request keeps the exception.
+    first->set_value(current_error_message());
     throw;
   }
   first->set_value(value);

@@ -38,6 +38,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "bsr/run_config.hpp"
 #include "common/json.hpp"
@@ -191,11 +192,15 @@ class Server {
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;
 
+  /// A finished run as its waiters see it: the result, or the message of
+  /// the error the run threw. Each waiter throws its own exception from the
+  /// message, so no exception object is shared between threads.
+  using Outcome = std::variant<CachedResult, std::string>;
   /// One fingerprint's result: pending while its run is in flight, ready
   /// once it finished. A failed run's entry is erased before its error
   /// reaches the requests that waited for it.
   struct Entry {
-    std::shared_future<CachedResult> result;
+    std::shared_future<Outcome> result;
     std::uint64_t joined = 0;  ///< requests that waited for it in flight
   };
   mutable std::mutex results_mutex_;

@@ -1,7 +1,9 @@
 #include "serve/store.hpp"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -192,9 +194,14 @@ void DiskResultStore::save_serialized(const std::string& fingerprint,
   w.key("report").raw(report_json);
   w.obj_close();
 
+  // Each save writes its own temp file, named for this process and this
+  // save, so concurrent saves of one record (threads of one store, or
+  // daemons sharing the directory) never write into or rename each other's
+  // file: the last rename wins, and every rename installs a whole record.
+  static std::atomic<std::uint64_t> saves_started{0};
   const std::string path = record_path(fingerprint);
-  const std::string tmp = path + ".tmp";
-  std::lock_guard<std::mutex> lock(mutex_);
+  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                          std::to_string(saves_started.fetch_add(1)) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -202,14 +209,17 @@ void DiskResultStore::save_serialized(const std::string& fingerprint,
     }
     out << w.str() << '\n';
     if (!out.flush()) {
+      std::remove(tmp.c_str());
       throw std::runtime_error("store: short write to " + tmp);
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int error = errno;
     std::remove(tmp.c_str());
     throw std::runtime_error("store: rename " + tmp + " -> " + path + ": " +
-                             std::strerror(errno));
+                             std::strerror(error));
   }
+  const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.saves;
 }
 

@@ -6,10 +6,14 @@
 //   <dir>/<hash16(fp)><hash16'(fp)>.json
 //   record = {"schema":1,"fingerprint":"<fp>","report":{...}}
 //
-// written to a ".tmp" sibling and atomically renamed into place, so readers
-// (including concurrent daemons sharing the directory) never observe a
-// half-written record, even from a writer killed mid-save
-// (DiskResultStore.SigkillMidSaveLeavesTheOldOrTheNewRecord). The filename
+// written to a temp sibling of its own, <record>.<pid>.<n>.tmp for the n-th
+// save this process started, and atomically renamed into place. Readers and
+// writers (including concurrent daemons sharing the directory) therefore
+// never observe a half-written record: not from a writer killed mid-save
+// (DiskResultStore.SigkillMidSaveLeavesTheOldOrTheNewRecord), and not while
+// another store saves the same record
+// (DiskResultStore.TwoStoresSavingOneRecordNeitherFailNorTearIt). A killed
+// writer may leave its *.tmp file behind; nothing reads it. The filename
 // is a hash, not the fingerprint itself (fingerprints contain '/' and are
 // unbounded in length); the fingerprint inside the record is authoritative,
 // and a mismatch — a hash collision or a copied-in foreign record — is
@@ -50,9 +54,8 @@ struct StoredRecord {
   core::RunReport report;
 };
 
-/// The on-disk store (see file comment). Thread-safe: saves serialize on an
-/// internal mutex, loads read and parse outside it and take it only to
-/// count.
+/// The on-disk store (see file comment). Thread-safe: saves and loads do
+/// their file work outside the internal mutex and take it only to count.
 class DiskResultStore {
  public:
   /// Records are written under `dir`, created (one level) if absent. Throws

@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace bsr {
 namespace {
 
@@ -305,6 +307,116 @@ TEST(JsonBytes, ParseThenDumpMatchesTheRecursiveReference) {
   std::string appended = "prefix";
   v.dump_to(appended);
   EXPECT_EQ(appended, "prefix" + ref_dump(v));
+}
+
+// ---- Comma placement ------------------------------------------------------
+// The writer places commas by the last byte written. The reference is the
+// earlier writer, which kept one "a comma is due" flag per open container.
+
+class RefWriter {
+ public:
+  void obj_open() { open('{'); }
+  void obj_close() { close('}'); }
+  void arr_open() { open('['); }
+  void arr_close() { close(']'); }
+  void key(std::string_view k) {
+    comma();
+    out_ += ref_quote(k) + ":";
+    if (!due_.empty()) due_.back() = false;  // the value follows unseparated
+  }
+  void plain_key(std::string_view k) { key(k); }
+  void value(std::string_view s) { scalar(ref_quote(s)); }
+  void value(bool b) { scalar(b ? "true" : "false"); }
+  void value(double v) { scalar(ref_double(v)); }
+  void value(std::int64_t v) { scalar(std::to_string(v)); }
+  void value_u64(std::uint64_t v) { scalar("\"" + std::to_string(v) + "\""); }
+  void raw(std::string_view json) { scalar(std::string(json)); }
+  [[nodiscard]] const std::string& str() const { return out_; }
+
+ private:
+  void comma() {
+    if (due_.empty()) return;
+    if (due_.back()) out_ += ',';
+    due_.back() = true;
+  }
+  void open(char c) {
+    comma();
+    out_ += c;
+    due_.push_back(false);
+  }
+  void close(char c) {
+    out_ += c;
+    due_.pop_back();
+  }
+  void scalar(const std::string& text) {
+    comma();
+    out_ += text;
+  }
+
+  std::string out_;
+  std::vector<bool> due_;
+};
+
+/// One random JSON value written to `w`: containers nested up to `depth`
+/// (empty ones included), every scalar kind, raw() splices of whole values,
+/// and keys and strings holding '{', '[', ':' and bytes that need escaping.
+/// The same `rng` state gives the same calls on any writer.
+template <typename W>
+void write_random_value(W& w, Rng& rng, int depth) {
+  static const char* const kStrings[] = {"", "{", "[", ":", "a:", "{[:",
+                                         "x\"y", "tab\t", "}", "]"};
+  static const char* const kPlainKeys[] = {"k", "cpu_freq", "d0", "_"};
+  static const char* const kRaw[] = {"{}", "[]", "[1,{\"a:\":[]}]", "\":\"",
+                                     "null", "-0.5", "{\"{\":\"[\"}"};
+  const std::uint64_t kind = rng.next_below(depth > 0 ? 10 : 7);
+  switch (kind) {
+    case 0: w.value(std::string_view(kStrings[rng.next_below(10)])); return;
+    case 1: w.value(rng.next_below(2) == 0); return;
+    case 2: w.value(rng.uniform(-1e6, 1e6)); return;
+    case 3:
+      w.value(static_cast<std::int64_t>(rng.next_below(40)) - 20);
+      return;
+    case 4: w.value_u64(rng.next_below(UINT64_MAX)); return;
+    case 5:
+    case 6: w.raw(kRaw[rng.next_below(7)]); return;
+    case 7: {
+      w.arr_open();
+      for (std::uint64_t i = rng.next_below(4); i > 0; --i) {
+        write_random_value(w, rng, depth - 1);
+      }
+      w.arr_close();
+      return;
+    }
+    default: {
+      w.obj_open();
+      for (std::uint64_t i = rng.next_below(4); i > 0; --i) {
+        if (rng.next_below(2) == 0) {
+          w.key(kStrings[rng.next_below(10)]);
+        } else {
+          w.plain_key(kPlainKeys[rng.next_below(4)]);
+        }
+        write_random_value(w, rng, depth - 1);
+      }
+      w.obj_close();
+    }
+  }
+}
+
+TEST(JsonWriter, RandomDocumentsMatchTheCommaStackWriter) {
+  int containers = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng a(seed);
+    Rng b(seed);
+    JsonWriter w;
+    RefWriter ref;
+    write_random_value(w, a, 4);
+    write_random_value(ref, b, 4);
+    ASSERT_EQ(w.str(), ref.str());
+    EXPECT_NO_THROW((void)JsonValue::parse(w.str())) << w.str();
+    containers += w.str().front() == '{' || w.str().front() == '[';
+  }
+  EXPECT_GT(containers, 500);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bsr/faults.hpp"
+#include "bsr/sweep.hpp"
 #include "bsr/variability.hpp"
 #include "common/rng.hpp"
 
@@ -150,6 +151,131 @@ TEST(ReportJson, SerializedBytesArePinned) {
     const std::string bytes = serialize_report(bsr::run(want.config));
     EXPECT_EQ(bytes.size(), want.bytes) << want.name;
     EXPECT_EQ(fnv1a(bytes), want.hash) << want.name;
+  }
+}
+
+/// The requests of the benchmark's paper grid (paper_grid_requests in
+/// benchsuite/sim.cpp, seed 1): each cell, then the "original" baseline
+/// bsr::Sweep substitutes for it, in grid order.
+std::vector<RunConfig> paper_grid_requests() {
+  Axis variability{"variability", {}};
+  for (const char* preset : {"off", "drift"}) {
+    const VariabilityConfig v = make_variability(preset);
+    variability.points.push_back(
+        {preset, [v](RunConfig& c) { c.variability = v; }});
+  }
+  const Axis axes[] = {
+      variability,
+      strategy_axis({"original", "r2h", "sr", "bsr"}),
+      factorization_axis(
+          {Factorization::Cholesky, Factorization::LU, Factorization::QR}),
+      size_axis({5120, 10240, 15360, 20480, 25600, 30720}),
+      ratio_axis({0.0, 0.25, 0.5, 1.0}),
+      trial_axis(2, 1),
+  };
+  std::vector<RunConfig> cells = {RunConfig{}};
+  for (const Axis& axis : axes) {
+    std::vector<RunConfig> next;
+    for (const RunConfig& cell : cells) {
+      for (const AxisPoint& point : axis.points) {
+        next.push_back(cell);
+        point.apply(next.back());
+      }
+    }
+    cells = std::move(next);
+  }
+  const RunConfig defaults;
+  std::vector<RunConfig> out;
+  for (const RunConfig& cell : cells) {
+    out.push_back(cell);
+    RunConfig baseline = cell;
+    baseline.strategy = "original";
+    baseline.reclamation_ratio = defaults.reclamation_ratio;
+    baseline.fc_desired = defaults.fc_desired;
+    baseline.bsr_use_optimized_guardband =
+        defaults.bsr_use_optimized_guardband;
+    baseline.bsr_allow_overclocking = defaults.bsr_allow_overclocking;
+    baseline.bsr_use_enhanced_predictor = defaults.bsr_use_enhanced_predictor;
+    out.push_back(baseline);
+  }
+  return out;
+}
+
+// The reports a daemon executes for the benchmark's grid traffic: the first
+// configuration of each distinct fingerprint, as serve_cold sends them. The
+// digest was recorded with the writer that kept a comma flag per open
+// container.
+TEST(ReportJson, GridReportsMatchTheParent) {
+  std::set<std::string> seen;
+  std::size_t reports = 0;
+  std::size_t bytes = 0;
+  std::uint64_t digest = 1469598103934665603ull;
+  for (const RunConfig& cfg : paper_grid_requests()) {
+    if (!seen.insert(cfg.fingerprint()).second) continue;
+    const std::string json = serialize_report(bsr::run(cfg)) + "\n";
+    ++reports;
+    bytes += json.size();
+    for (const unsigned char ch : json) {
+      digest ^= ch;
+      digest *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(reports, 504u);
+  EXPECT_EQ(bytes, 18306085u);
+  EXPECT_EQ(digest, 0xd08ca5a301a495e1ull);
+}
+
+/// Adds "<path>.<key>" to `keys` for every object member in `v`, array
+/// indices left out, so each field list's keys appear once per place the
+/// writer puts that list.
+void collect_keys(const JsonValue& v, const std::string& path,
+                  std::set<std::string>& keys) {
+  if (v.is_array()) {
+    for (const JsonValue& item : v.items()) collect_keys(item, path + "[]", keys);
+  } else if (v.is_object()) {
+    for (const auto& [key, member] : v.members()) {
+      keys.insert(path + "." + key);
+      collect_keys(member, path + "." + key, keys);
+    }
+  }
+}
+
+// The writer copies every field-list key without scanning it for bytes to
+// escape, which is only right for keys that need none.
+TEST(ReportJson, EveryListedKeyNeedsNoEscaping) {
+  // A faulty single-node run reaches the trace's iterations and
+  // lane_faults, a cluster run device_usage, both the rest of the report's
+  // lists and the options echo's, and serialize_config RunConfig's.
+  const core::RunReport faulty = bsr::run(faulty_config());
+  const core::RunReport cluster = bsr::run(cluster_config());
+  ASSERT_FALSE(faulty.trace.iterations.empty());
+  ASSERT_FALSE(faulty.lane_faults.empty());
+  ASSERT_FALSE(cluster.device_usage.empty());
+  std::set<std::string> keys;
+  collect_keys(JsonValue::parse(serialize_report(faulty)), "report", keys);
+  collect_keys(JsonValue::parse(serialize_report(cluster)), "report", keys);
+  collect_keys(JsonValue::parse(serialize_config(faulty_config())), "config",
+               keys);
+  // 114 places in a report and 46 in a config: the 139 listed keys, the
+  // variability and faults lists' 21 counted under both.
+  EXPECT_EQ(keys.size(), 160u);
+  for (const std::string& path : keys) {
+    const std::string key = path.substr(path.rfind('.') + 1);
+    EXPECT_FALSE(key.empty()) << path;
+    for (const char c : key) {
+      EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')
+          << path;
+    }
+  }
+}
+
+TEST(ReportJson, SerializedReportHoldsNoSpareCapacity) {
+  // The daemon keeps every report it executed for its lifetime, so the text
+  // is allocated at its own size, not at the size string doubling left.
+  for (const RunConfig& cfg : {small_config(), faulty_config(), rack_config(),
+                               numeric_config()}) {
+    const std::string bytes = serialize_report(bsr::run(cfg));
+    EXPECT_EQ(bytes.capacity(), bytes.size());
   }
 }
 

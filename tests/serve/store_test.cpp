@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -242,6 +244,53 @@ TEST(DiskResultStore, SigkillMidSaveLeavesTheOldOrTheNewRecord) {
   }
   EXPECT_TRUE(saved) << "no save completed in 20 cycles";
   EXPECT_EQ(store.stats().rejected, 0u);
+}
+
+TEST(DiskResultStore, TwoStoresSavingOneRecordNeitherFailNorTearIt) {
+  // Two stores over one directory, as two daemons sharing it, each save one
+  // record 300 times, alternating two reports, while a third store reads
+  // it. Every save completes, and every read finds one report whole.
+  const std::string dir = fresh_dir("two_writers");
+  const std::string fp = "fp-two-writers";
+  RunConfig sr = small_config();
+  sr.strategy = "sr";
+  const std::string reports[2] = {serialize_report(bsr::run(small_config())),
+                                  serialize_report(bsr::run(sr))};
+  DiskResultStore writers[2] = {DiskResultStore(dir), DiskResultStore(dir)};
+  DiskResultStore reader(dir);
+  constexpr int kSaves = 300;
+  std::atomic<int> failed_saves{0};
+  std::atomic<int> writing{2};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kSaves; ++i) {
+        try {
+          writers[w].save_serialized(fp, reports[(i + w) % 2]);
+        } catch (const std::exception& e) {
+          if (failed_saves++ == 0) ADD_FAILURE() << e.what();
+        }
+      }
+      --writing;
+    });
+  }
+  int wrong = 0;
+  while (writing.load() > 0) {
+    const std::optional<StoredRecord> record = reader.load_record(fp);
+    if (record.has_value()) {
+      wrong += record->json != reports[0] && record->json != reports[1];
+    }
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_EQ(writers[0].stats().saves + writers[1].stats().saves,
+            2u * kSaves);
+  EXPECT_EQ(reader.stats().rejected, 0u) << "torn records read";
+  EXPECT_EQ(wrong, 0);
+  const std::shared_ptr<const std::string> last = reader.load_serialized(fp);
+  ASSERT_NE(last, nullptr);
+  EXPECT_TRUE(*last == reports[0] || *last == reports[1]);
 }
 
 TEST(DiskResultStore, UnreadableDirectoryThrowsAtConstruction) {
