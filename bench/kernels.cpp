@@ -172,8 +172,9 @@ BENCHMARK(BM_ProtectedGemmUpdate)->Arg(256)->Arg(512);
 
 // Algorithm 1 (ABFT-OC) as BSR runs it on a grid-size LU (n = 15360,
 // b = 256, S = 3600 blocks): the checksum ladder from each overclocked target
-// 1800-2200 MHz, for each iteration's TMU time at base clock. The coverage
-// sums it evaluates dominate a paper-grid sweep; decisions/s counts ladders.
+// 1800-2200 MHz, for each iteration's TMU time at base clock. Its cost is the
+// coverage sums of the steps whose bound does not already miss the target;
+// decisions/s counts ladders.
 void BM_AbftOc(benchmark::State& state) {
   const hw::DeviceModel gpu = hw::PlatformProfile::paper_default().gpu;
   const predict::WorkloadModel wl{

@@ -5,6 +5,8 @@
 // all expected errors, lowering the frequency step by step when even full
 // checksums cannot reach the target. At fault-free frequencies ABFT is
 // disabled entirely — the paper's key overhead saving over always-on ABFT.
+// A step whose coverage bound (abft/coverage.hpp) already misses the target
+// is passed without evaluating its sums; every decision keeps its bits.
 #pragma once
 
 #include <cstdint>
@@ -36,5 +38,13 @@ AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
 AbftDecision abft_oc(double fc_desired, hw::Mhz f_desired,
                      const hw::ClockTable& gpu, double t_base_seconds,
                      std::int64_t blocks);
+
+/// The checksum scheme for a lane that runs at `f`: abft_oc's mode when its
+/// ladder keeps `f`, and Full when the ladder steps down from it (no scheme
+/// reaches fc_desired at `f`), which is the ladder's own rule at its floor.
+ChecksumMode mode_at(double fc_desired, hw::Mhz f, const hw::DeviceModel& gpu,
+                     double t_base_seconds, std::int64_t blocks);
+ChecksumMode mode_at(double fc_desired, hw::Mhz f, const hw::ClockTable& gpu,
+                     double t_base_seconds, std::int64_t blocks);
 
 }  // namespace bsr::abft

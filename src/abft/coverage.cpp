@@ -13,8 +13,8 @@ namespace {
 
 // Both closed forms are Poisson-weighted sums of non-negative terms, added in
 // a fixed order (k ascending; in fc_full, j ascending within each k). The
-// adaptive-checksum ladder evaluates them at every candidate clock of every
-// iteration, so they dominate a paper-grid sweep, yet on the paper's rates
+// adaptive-checksum ladder evaluates them at each candidate clock whose
+// coverage_bound does not already miss the target, yet on the paper's rates
 // nearly all of their terms are too small to change the result. Each loop
 // therefore ends as soon as no remaining term can change the running sum,
 // which leaves every result bit-identical to the full sum:
@@ -187,6 +187,24 @@ double fc_single(const hw::ErrorRates& rates, double t_seconds,
 double fc_full(const hw::ErrorRates& rates, double t_seconds,
                std::int64_t blocks) {
   return StepCoverage(rates, t_seconds, blocks).full();
+}
+
+CoverageBound coverage_bound(const hw::ErrorRates& rates, double t_seconds,
+                             std::int64_t blocks) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double m0 = rates.d0 * t_seconds;
+  const double m1 = rates.d1 * t_seconds;
+  const double m2 = rates.d2 * t_seconds;
+  const double m = m0 + m1;
+  // The comparisons are false for NaN, and m <= kBoundMaxMean keeps m0 and
+  // m1 finite.
+  if (!(m0 >= 0.0 && m1 >= 0.0 && m2 >= 0.0 && m2 < kInf &&
+        m <= kBoundMaxMean && blocks >= 1)) {
+    return {kInf, kInf};
+  }
+  const double s = static_cast<double>(blocks);
+  return {(1.0 - m0 / ((1.0 + m0) * s)) / (1.0 + m1),
+          1.0 - m / ((1.0 + m) * s)};
 }
 
 const char* coverage_label_static(double fc, bool fault_free) {

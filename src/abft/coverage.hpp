@@ -35,6 +35,32 @@ double fc_single(const hw::ErrorRates& rates, double t_seconds,
 double fc_full(const hw::ErrorRates& rates, double t_seconds,
                std::int64_t blocks);
 
+/// Upper bounds on fc_single and fc_full from divisions only. With
+/// m0 = l0 T, m1 = l1 T, m = m0 + m1 and S = blocks:
+///
+///   FC_full   <= 1 - m / ((1 + m) S)
+///   FC_single <= (1 - m0 / ((1 + m0) S)) / (1 + m1)
+///
+/// Every term of either sum is >= 0 and truncation only drops terms; the
+/// distinct-block factor is 1 at zero strikes and at most (S-1)/S otherwise;
+/// e^{-x} <= 1/(1+x) for x >= 0; and e^{-l2 T} <= 1. The bounds apply when
+/// m0, m1 and l2 T are finite and >= 0, blocks >= 1 and m <= kBoundMaxMean;
+/// there a computed fc_single or fc_full exceeds its bound by less than
+/// kBoundSlack (docs/PERFORMANCE.md). Elsewhere both bounds are +infinity.
+struct CoverageBound {
+  double single;
+  double full;
+};
+
+/// Largest m the bounds apply to: each Poisson index then stops by 160.
+inline constexpr double kBoundMaxMean = 64.0;
+/// How far a computed coverage may exceed its exact value where the bounds
+/// apply.
+inline constexpr double kBoundSlack = 0x1p-30;
+
+CoverageBound coverage_bound(const hw::ErrorRates& rates, double t_seconds,
+                             std::int64_t blocks);
+
 /// Both coverages of one ABFT-OC ladder step: the same rates, window and
 /// block count. single() and full() read one row of Poisson(k; l0 T)
 /// weights, filled on first use in index order, and one e^{-l2 T}, so the

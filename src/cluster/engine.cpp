@@ -482,9 +482,8 @@ class ClusterRun {
                                                  double t_base, int k) const {
     if (opt_.forced_abft) return *opt_.forced_abft;
     const hw::ClockTable& clk = *lanes_[static_cast<std::size_t>(1 + d)].clk;
-    return abft::abft_oc(opt_.bsr.fc_desired, f, clk, t_base,
-                         local_blocks(k, d))
-        .mode;
+    return abft::mode_at(opt_.bsr.fc_desired, f, clk, t_base,
+                         local_blocks(k, d));
   }
 
   /// Straggler rebalancing (generalized critical-lane selection): re-weight

@@ -93,14 +93,13 @@ sched::IterationDecision BsrStrategy::decide(int k,
 
   // The protection level must match the clock that will actually run: when
   // the transition is skipped the previous (possibly overclocked) frequency
-  // persists, so re-evaluate ABFT-OC for it.
+  // persists, so re-evaluate ABFT-OC for it (full checksums where no scheme
+  // covers it).
   const hw::Mhz running = d.adjust_gpu ? f_gpu : pipe.gpu_freq();
-  if (running == f_gpu) {
-    d.abft_mode = ad.mode;
-  } else {
-    d.abft_mode =
-        abft::abft_oc(config_.fc_desired, running, gpu, t_gpu, blocks).mode;
-  }
+  d.abft_mode =
+      running == f_gpu
+          ? ad.mode
+          : abft::mode_at(config_.fc_desired, running, gpu, t_gpu, blocks);
   return d;
 }
 

@@ -272,5 +272,92 @@ TEST(Coverage, NegativeBoundsSumNothing) {
   EXPECT_EQ(fc_full(r, 1.0, 3600), 0.0);
 }
 
+// ---- Division-only bounds ---------------------------------------------------
+//
+// ABFT-OC skips a step's sums when coverage_bound says they miss the target
+// by more than kBoundSlack, so a computed coverage must never exceed its
+// bound by that much wherever the bound applies.
+
+constexpr std::array<std::int64_t, 5> kBoundBlockCounts = {1, 2, 16, 3600,
+                                                           16777216};
+
+/// Checks one point; returns whether the bounds applied there.
+bool check_bounds(const hw::ErrorRates& r, double t, std::int64_t blocks) {
+  const CoverageBound bound = coverage_bound(r, t, blocks);
+  if (bound.full == std::numeric_limits<double>::infinity()) {
+    EXPECT_EQ(bound.single, bound.full);
+    return false;
+  }
+  EXPECT_LE(fc_single(r, t, blocks), bound.single + kBoundSlack)
+      << std::hexfloat << "d0=" << r.d0 << " d1=" << r.d1 << " d2=" << r.d2
+      << " t=" << t << " blocks=" << blocks;
+  EXPECT_LE(fc_full(r, t, blocks), bound.full + kBoundSlack)
+      << std::hexfloat << "d0=" << r.d0 << " d1=" << r.d1 << " d2=" << r.d2
+      << " t=" << t << " blocks=" << blocks;
+  return true;
+}
+
+TEST(Coverage, BoundsHoldOnThePaperTable) {
+  const hw::DeviceModel gpu = hw::PlatformProfile::paper_default().gpu;
+  int applied = 0;
+  for (double mult : {1.0, 150.0, 225.0, 1e4}) {
+    const hw::ErrorRateModel scaled = gpu.errors.scaled(mult);
+    for (hw::Mhz f = 1700; f <= gpu.freq.max_oc_mhz; f += 100) {
+      const hw::ErrorRates r = scaled.rates(f, hw::Guardband::Optimized);
+      for (int step = 0; step <= 90; ++step) {
+        const double t = std::pow(10.0, -6.0 + step / 10.0);
+        for (std::int64_t blocks : kBoundBlockCounts) {
+          if (check_bounds(r, t, blocks)) ++applied;
+        }
+      }
+    }
+  }
+  EXPECT_GT(applied, 7000);
+}
+
+TEST(Coverage, BoundsHoldOnRandomRates) {
+  Rng rng(20261020);
+  int applied = 0;
+  for (int i = 0; i < 50000; ++i) {
+    const auto rate = [&rng](double lo, double hi) {
+      return rng.next_below(8) == 0 ? 0.0 : log_uniform(rng, lo, hi);
+    };
+    const hw::ErrorRates r{.d0 = rate(1e-9, 80.0),
+                           .d1 = rate(1e-9, 80.0),
+                           .d2 = rate(1e-9, 1.0)};
+    const std::int64_t blocks =
+        kBoundBlockCounts[rng.next_below(kBoundBlockCounts.size())];
+    if (check_bounds(r, 1.0, blocks)) ++applied;
+  }
+  EXPECT_GT(applied, 45000);
+}
+
+TEST(Coverage, BoundsApplyOnlyWhereTheirArgumentHolds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const hw::ErrorRates ok{.d0 = 0.3, .d1 = 0.02, .d2 = 1e-7};
+  EXPECT_LT(coverage_bound(ok, 1.0, 3600).full, 1.0);
+  EXPECT_LT(coverage_bound(ok, 1.0, 3600).single, 1.0);
+  // A mean of exactly kBoundMaxMean still applies; one ulp more does not.
+  EXPECT_LT(coverage_bound({.d0 = 32.0, .d1 = 32.0}, 1.0, 16).full, 1.0);
+  EXPECT_EQ(
+      coverage_bound({.d1 = std::nextafter(kBoundMaxMean, 128.0)}, 1.0, 16)
+          .full,
+      inf);
+  for (const hw::ErrorRates& r : {hw::ErrorRates{.d0 = -0.1, .d1 = 0.2},
+                                   hw::ErrorRates{.d0 = 0.2, .d1 = -0.1},
+                                   hw::ErrorRates{.d0 = 0.2, .d2 = -1e-7},
+                                   hw::ErrorRates{.d0 = nan},
+                                   hw::ErrorRates{.d0 = 0.1, .d2 = inf}}) {
+    EXPECT_EQ(coverage_bound(r, 1.0, 3600).full, inf) << r.d0 << " " << r.d1;
+    EXPECT_EQ(coverage_bound(r, 1.0, 3600).single, inf);
+  }
+  for (const double t : {-1.0, inf, nan}) {
+    EXPECT_EQ(coverage_bound(ok, t, 3600).full, inf) << t;
+  }
+  EXPECT_EQ(coverage_bound(ok, 1.0, 0).full, inf);
+  EXPECT_EQ(coverage_bound(ok, 1.0, -3).full, inf);
+}
+
 }  // namespace
 }  // namespace bsr::abft

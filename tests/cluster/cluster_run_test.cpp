@@ -314,6 +314,37 @@ TEST(ClusterEngine, ForcedAbftCountsPerDevice) {
   EXPECT_GT(r.makespan, none.makespan);
 }
 
+TEST(ClusterEngine, UpdatesAtClocksWith1DErrorsRunFullChecksums) {
+  // Single-side checksums cannot correct 1D errors. A lane whose transition
+  // the projection guard skips keeps its clock, and on this run device 7
+  // kept 2000 MHz at k = 22 while ABFT-OC's ladder, asked for 2000 MHz,
+  // stepped down to 1900 MHz, where single-side checksums suffice.
+  obs::TraceRecorder rec;
+  RunConfig cfg;
+  cfg.factorization = Factorization::Cholesky;
+  cfg.n = 15360;
+  cfg.strategy = "bsr";
+  cfg.reclamation_ratio = 0.25;
+  cfg.variability = make_variability("drift");
+  cfg.cluster = "rack_8x8";
+  cfg.devices = 8;
+  cfg.trace = &rec;
+  (void)run(cfg);
+  const cluster::ClusterProfile profile = make_cluster_profile("rack_8x8", 8);
+  int checked = 0;
+  for (const obs::TraceSpan& s : rec.spans()) {
+    if (s.kind != obs::SpanKind::Update) continue;
+    const hw::ErrorRates r =
+        profile.devices[static_cast<std::size_t>(s.lane - 1)].errors.rates(
+            s.freq_mhz, hw::Guardband::Optimized);
+    if (!(r.d1 > 0.0)) continue;
+    ++checked;
+    EXPECT_EQ(s.abft_mode, static_cast<std::uint8_t>(abft::ChecksumMode::Full))
+        << "k=" << s.k << " lane=" << s.lane << " f=" << s.freq_mhz;
+  }
+  EXPECT_GT(checked, 0);
+}
+
 // ---- facade: RunConfig dispatch, ClusterConfig, validation ------------------
 
 TEST(ClusterFacade, RunConfigDispatchesToClusterEngine) {

@@ -34,8 +34,11 @@ Three records, selected with --mode:
       64-device weak-scaling point must exist.
 
 Usage:
-    # Refresh a committed snapshot (run from the repo root):
+    # Refresh a committed snapshot (run from the repo root); with --filter
+    # only the matching entries are re-recorded:
     python3 tools/perf_gate.py --bench build/bench/bench_kernels --write
+    python3 tools/perf_gate.py --bench build/bench/bench_kernels --write \
+        --filter BM_AbftOc
     python3 tools/perf_gate.py --mode serve --bench build/bench/bench_serve --write
 
     # CI regression gate: re-run and fail if any throughput counter dropped
@@ -209,6 +212,15 @@ def validate_scale(record: dict) -> int:
     return failures
 
 
+def merge(committed: dict, fresh: dict) -> dict:
+    """The committed record with each freshly run entry replaced in place;
+    fresh entries it lacks are appended."""
+    by_name = {b["name"]: b for b in fresh["benchmarks"]}
+    merged = [by_name.pop(b["name"], b) for b in committed["benchmarks"]]
+    merged.extend(b for b in fresh["benchmarks"] if b["name"] in by_name)
+    return {**committed, "benchmarks": merged}
+
+
 def check(committed: dict, fresh: dict, tolerance: float,
           bench_filter: str = "", regen: str = REGEN_COMMAND) -> "tuple[int, int]":
     by_name = {b["name"]: b for b in fresh["benchmarks"]}
@@ -258,7 +270,8 @@ def main() -> int:
                         help="committed record (default: the repo-root "
                              "BENCH_<mode>.json)")
     parser.add_argument("--filter", default="",
-                        help="forwarded as --benchmark_filter")
+                        help="forwarded as --benchmark_filter; with --write, "
+                             "only the matching entries are re-recorded")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="allowed throughput drop factor for --check "
                              "(default 3.0: cross-machine headroom; mode "
@@ -305,6 +318,10 @@ def main() -> int:
         fresh = distill(run_bench(args.bench, args.filter))
 
     if args.write:
+        if args.filter and args.record.exists():
+            # A filtered run re-records only the entries it ran; every other
+            # committed entry keeps its value.
+            fresh = merge(json.loads(args.record.read_text()), fresh)
         args.record.write_text(json.dumps(fresh, indent=1) + "\n")
         print(f"wrote {args.record} ({len(fresh['benchmarks'])} benchmarks)")
         return 0
