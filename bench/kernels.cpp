@@ -21,6 +21,7 @@
 #include "bsr/bsr.hpp"
 #include "common/rng.hpp"
 #include "la/lapack.hpp"
+#include "la/verify.hpp"
 #include "predict/workload.hpp"
 #include "serve/protocol.hpp"
 #include "serve/report_json.hpp"
@@ -127,6 +128,59 @@ void BM_FormQ(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FormQ)->Arg(512);
+
+// The residual check that ends every numeric solve, on a clean factor. The
+// nominal flop counts are fixed: L*U's triangles (2n^3/3), the lower
+// triangle of L*L^T (n^3/3), and form_q plus Q*R (4n^3/3 + n^3).
+void BM_LuResidual(benchmark::State& state) {
+  const idx n = state.range(0);
+  const Matrix<double> a = random_matrix(n, n, 13);
+  Matrix<double> f = a;
+  std::vector<idx> ipiv;
+  la::getrf(f.view(), 64, ipiv);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        la::lu_residual(a.view(), f.view().as_const(), ipiv));
+  }
+  state.counters["GFLOP/s"] =
+      benchmark::Counter(2.0 * n * n * n / 3.0 * state.iterations() / 1e9,
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LuResidual)->Arg(512);
+
+void BM_CholeskyResidual(benchmark::State& state) {
+  const idx n = state.range(0);
+  Matrix<double> a(n, n);
+  Rng rng(14);
+  la::fill_spd(a.view(), rng);
+  Matrix<double> f = a;
+  la::potrf(f.view(), 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        la::cholesky_residual(a.view().as_const(), f.view().as_const()));
+  }
+  state.counters["GFLOP/s"] =
+      benchmark::Counter(static_cast<double>(n) * n * n / 3.0 *
+                             state.iterations() / 1e9,
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CholeskyResidual)->Arg(512);
+
+void BM_QrResidual(benchmark::State& state) {
+  const idx n = state.range(0);
+  const Matrix<double> a = random_matrix(n, n, 15);
+  Matrix<double> f = a;
+  std::vector<double> tau;
+  la::geqrf(f.view(), 64, tau);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        la::qr_residual(a.view(), f.view().as_const(), tau));
+  }
+  state.counters["GFLOP/s"] =
+      benchmark::Counter(7.0 * n * n * n / 3.0 * state.iterations() / 1e9,
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_QrResidual)->Arg(512);
 
 void BM_ChecksumEncode(benchmark::State& state) {
   const idx n = state.range(0);

@@ -1,9 +1,9 @@
 #include "core/decomposer.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "abft/update.hpp"
@@ -69,6 +69,7 @@ class NumericRunner final : public NumericRunnerBase {
   int run_iteration(const sched::IterationOutcome& o,
                     abft::AbftStats& stats) override {
     recoveries_ = 0;
+    if (broken_) return 0;
     switch (cfg_.factorization) {
       case predict::Factorization::Cholesky: iterate_cholesky(o, stats); break;
       case predict::Factorization::LU: iterate_lu(o, stats); break;
@@ -82,6 +83,8 @@ class NumericRunner final : public NumericRunnerBase {
   }
 
   [[nodiscard]] double final_residual() const override {
+    // A factorization that broke down has no bounded residual.
+    if (broken_) return std::numeric_limits<double>::infinity();
     switch (cfg_.factorization) {
       case predict::Factorization::Cholesky:
         return la::cholesky_residual(a0_.view(), a_.view());
@@ -168,7 +171,10 @@ class NumericRunner final : public NumericRunnerBase {
 
     auto akk = a_.block(j0, j0, bb, bb);
     if (la::potf2(akk) != 0) {
-      throw std::runtime_error("Cholesky: matrix lost positive definiteness");
+      // An uncorrected SDC made the trailing matrix indefinite: the numeric
+      // work stops here, and the timing run goes on.
+      broken_ = true;
+      return;
     }
     if (mt <= 0) return;
 
@@ -246,6 +252,7 @@ class NumericRunner final : public NumericRunnerBase {
   const hw::DeviceModel& gpu_;
   fault::Injector injector_;
   int recoveries_ = 0;
+  bool broken_ = false;  ///< a Cholesky pivot failed; no numeric work since
   la::Matrix<T> a_;
   la::Matrix<T> a0_;
   std::vector<idx> ipiv_;

@@ -126,8 +126,65 @@ idx geqrf(MatrixView<T> a, idx nb, std::vector<T>& tau) {
   return 0;
 }
 
+namespace {
+
+// Eight columns of Q held row-interleaved: row i of a block is the eight
+// entries q(i, c0:c0+8) as 16-byte vectors of the GCC/Clang vector
+// extension. Every operation on them is lane-wise, so each lane is one
+// column's own chain of the scalar operations.
+constexpr idx kLanes = 8;
+
+template <typename T>
+struct Lanes;
+template <>
+struct Lanes<float> {
+  typedef float V __attribute__((vector_size(16)));
+};
+template <>
+struct Lanes<double> {
+  typedef double V __attribute__((vector_size(16)));
+};
+
+/// Lanes per vector, and vectors per interleaved row.
+template <typename T>
+constexpr idx kPerVec =
+    static_cast<idx>(sizeof(typename Lanes<T>::V) / sizeof(T));
+template <typename T>
+constexpr idx kRowVecs = kLanes / kPerVec<T>;
+
+/// H_j = I - tau v v^T on rows j: of the interleaved block x, with
+/// v = (1, vj[j+1:m]): for each lane, the dot with v in ascending i and then
+/// the axpy with -tau times it, larf_left's operations for one column.
+template <typename T>
+void reflect_lanes(typename Lanes<T>::V* x, idx m, idx j, const T* vj,
+                   T tau) {
+  using V = typename Lanes<T>::V;
+  constexpr idx kRow = kRowVecs<T>;
+  V s[kRow] = {};
+  V* xj = x + j * kRow;
+  for (idx q = 0; q < kRow; ++q) s[q] += xj[q] * T(1);
+  for (idx i = j + 1; i < m; ++i) {
+    const T vi = vj[i];
+    const V* xi = x + i * kRow;
+    for (idx q = 0; q < kRow; ++q) s[q] += xi[q] * vi;
+  }
+  V alpha[kRow];
+  for (idx q = 0; q < kRow; ++q) alpha[q] = -tau * s[q];
+  for (idx q = 0; q < kRow; ++q) xj[q] += alpha[q] * T(1);
+  for (idx i = j + 1; i < m; ++i) {
+    const T vi = vj[i];
+    V* xi = x + i * kRow;
+    for (idx q = 0; q < kRow; ++q) xi[q] += alpha[q] * vi;
+  }
+}
+
+}  // namespace
+
 template <typename T>
 Matrix<T> form_q(ConstMatrixView<T> qr, const std::vector<T>& tau) {
+  using V = typename Lanes<T>::V;
+  constexpr idx kPer = kPerVec<T>;
+  constexpr idx kRow = kRowVecs<T>;
   const idx m = qr.rows();
   const idx k = static_cast<idx>(tau.size());
   Matrix<T> q(m, m);
@@ -136,11 +193,34 @@ Matrix<T> form_q(ConstMatrixView<T> qr, const std::vector<T>& tau) {
   // H_j touches rows j: only, and columns < j of those rows are the
   // identity's +0.0 before and after it: their dot with v is +0, and
   // +0 + (+-0) = +0 for finite v and tau. So H_j is applied to q(j:, j:).
-  std::vector<T> v(m);
-  for (idx j = k - 1; j >= 0; --j) {
-    v[0] = T(1);
-    for (idx i = 1; i < m - j; ++i) v[i] = qr(j + i, j);
-    larf_left(v.data(), tau[j], q.block(j, j, m - j, m - j));
+  //
+  // Column c therefore takes H_min(c, k-1), ..., H_0 in turn, independently
+  // of every other column, and the columns go eight at a time. The
+  // reflectors above a block's first column reach only its columns j: and
+  // run through larf_left; the rest run on all eight lanes at once.
+  std::vector<T> v(static_cast<std::size_t>(m));
+  ArenaScope scope(Arena::scratch());
+  V* x = scope.alloc<V>(static_cast<std::size_t>(m * kRow));
+  for (idx c0 = 0; c0 < m; c0 += kLanes) {
+    const idx w = std::min(kLanes, m - c0);
+    for (idx j = std::min(k - 1, c0 + w - 1); j > c0; --j) {
+      v[0] = T(1);
+      for (idx i = 1; i < m - j; ++i) v[i] = qr(j + i, j);
+      larf_left(v.data(), tau[j], q.block(j, j, m - j, c0 + w - j));
+    }
+    for (idx i = 0; i < m; ++i) {
+      for (idx l = 0; l < kLanes; ++l) {
+        x[i * kRow + l / kPer][l % kPer] = l < w ? q(i, c0 + l) : T(0);
+      }
+    }
+    for (idx j = std::min(k - 1, c0); j >= 0; --j) {
+      if (tau[j] != T(0)) reflect_lanes(x, m, j, qr.col(j), tau[j]);
+    }
+    for (idx i = 0; i < m; ++i) {
+      for (idx l = 0; l < w; ++l) {
+        q(i, c0 + l) = x[i * kRow + l / kPer][l % kPer];
+      }
+    }
   }
   return q;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "la/blas.hpp"
+#include "la/rank_update.hpp"
 
 namespace bsr::la {
 
@@ -11,44 +12,51 @@ void fill_spd(MatrixView<T> a, Rng& rng) {
   assert(a.rows() == a.cols());
   const idx n = a.rows();
   // A = B * B^T + n * I. Every a(i, j), i >= j, is the sum s = 0,
-  // s += b(i,k) * b(j,k) for k ascending, then s += n on the diagonal, and
-  // a(j, i) mirrors it. The loops run four output columns at a time, k
-  // outside, i inside over the contiguous b(j0:n, k), with the four columns'
-  // partial sums in a 4 x n scratch: only which sum advances next changes,
-  // never the operations inside one.
+  // s += b(j,k) * b(i,k) for k ascending, then s += n on the diagonal, and
+  // a(j, i) mirrors it. The loops run two output columns at a time over
+  // rows j:n, four k per pass in gemm's rank4_pair shape, with the two
+  // columns' partial sums in an n x 2 scratch: only which sum advances
+  // next changes, never the operations inside one. B is finite, so
+  // b(j,k) * b(i,k) has the bits of b(i,k) * b(j,k).
   Matrix<T> b(n, n);
   fill_random(b.view(), rng);
-  constexpr idx kCols = 4;
-  Matrix<T> acc(n, kCols);
-  for (idx j0 = 0; j0 < n; j0 += kCols) {
-    const idx jb = std::min(kCols, n - j0);
-    const idx rows = n - j0;
-    acc.fill(T(0));
-    for (idx k = 0; k < n; ++k) {
-      const T* BSR_RESTRICT bk = b.data() + j0 + k * n;
-      // Past the last column the weights are zero and the sums unused.
-      T w[kCols] = {};
-      for (idx c = 0; c < jb; ++c) w[c] = bk[c];
-      const T w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
-      T* BSR_RESTRICT s0 = acc.data();
-      T* BSR_RESTRICT s1 = s0 + n;
-      T* BSR_RESTRICT s2 = s1 + n;
-      T* BSR_RESTRICT s3 = s2 + n;
+  const MatrixView<T> bv = b.view();
+  Matrix<T> acc(n, 2);
+  for (idx j = 0; j < n; j += 2) {
+    const bool pair = j + 1 < n;
+    const idx rows = n - j;
+    T* BSR_RESTRICT s0 = acc.data();
+    T* BSR_RESTRICT s1 = s0 + n;
+    std::fill(s0, s0 + rows, T(0));
+    std::fill(s1, s1 + rows, T(0));
+    // Past the last column the weights are zero and the sums unused.
+    T w0[4];
+    T w1[4] = {};
+    idx k = 0;
+    for (; k + 4 <= n; k += 4) {
+      for (idx t = 0; t < 4; ++t) {
+        w0[t] = b(j, k + t);
+        if (pair) w1[t] = b(j + 1, k + t);
+      }
+      rank4_pair(rows, s0, s1, bv.col(k) + j, bv.col(k + 1) + j,
+                 bv.col(k + 2) + j, bv.col(k + 3) + j, w0, w1);
+    }
+    for (; k < n; ++k) {
+      const T* BSR_RESTRICT bk = bv.col(k) + j;
+      const T v0 = b(j, k);
+      const T v1 = pair ? b(j + 1, k) : T(0);
       for (idx i = 0; i < rows; ++i) {
-        const T x = bk[i];
-        s0[i] += x * w0;
-        s1[i] += x * w1;
-        s2[i] += x * w2;
-        s3[i] += x * w3;
+        s0[i] += v0 * bk[i];
+        s1[i] += v1 * bk[i];
       }
     }
-    for (idx c = 0; c < jb; ++c) {
-      const idx j = j0 + c;
-      for (idx i = j; i < n; ++i) {
-        T s = acc(i - j0, c);
-        if (i == j) s += static_cast<T>(n);
-        a(i, j) = s;
-        a(j, i) = s;
+    for (idx c = 0; c < (pair ? 2 : 1); ++c) {
+      const T* sc = acc.data() + c * n;
+      for (idx i = j + c; i < n; ++i) {
+        T s = sc[i - j];
+        if (i == j + c) s += static_cast<T>(n);
+        a(i, j + c) = s;
+        a(j + c, i) = s;
       }
     }
   }

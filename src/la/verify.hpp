@@ -16,16 +16,28 @@ double norm_fro(ConstMatrixView<T> a);
 template <typename T>
 double norm_max(ConstMatrixView<T> a);
 
-/// ||A - L L^T||_F / ||A||_F where `factored` holds L in its lower triangle.
+// The three residuals read `factored` in place, and give every entry the
+// floating-point operations of copying the factors into zero-filled
+// matrices, multiplying them with gemm and taking norm_fro of the
+// difference, so they return its bits, non-finite factors included.
+
+/// ||A - L L^T||_F / ||A||_F where `factored` holds L in its lower triangle,
+/// diagonal included. The upper triangle is never read.
 template <typename T>
 double cholesky_residual(ConstMatrixView<T> original, ConstMatrixView<T> factored);
 
-/// ||P A - L U||_F / ||A||_F from the packed getrf output and pivots.
+/// ||P A - L U||_F / ||A||_F from the packed getrf output and pivots: L's
+/// unit diagonal is implicit, so `factored` is read below its diagonal, in
+/// its first min(m, n) columns, for L, and at and above it, in its first
+/// min(m, n) rows, for U.
 template <typename T>
 double lu_residual(ConstMatrixView<T> original, ConstMatrixView<T> factored,
                    const std::vector<idx>& ipiv);
 
-/// ||A - Q R||_F / ||A||_F from the packed geqrf output and tau.
+/// ||A - Q R||_F / ||A||_F from the packed geqrf output and tau: `factored`
+/// is read below its diagonal in its first tau.size() columns for the
+/// reflectors (form_q), and at and above it, in its first min(m, n) rows,
+/// for R.
 template <typename T>
 double qr_residual(ConstMatrixView<T> original, ConstMatrixView<T> factored,
                    const std::vector<T>& tau);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/ascii.hpp"
 #include "core/decomposer.hpp"
 
@@ -70,6 +72,30 @@ TEST(Numeric, InjectionWithoutFtCorruptsResult) {
   EXPECT_GT(r.abft.errors_injected_total(), 0);
   EXPECT_FALSE(r.numeric_correct);
   EXPECT_GT(r.residual, 1e-3);
+}
+
+TEST(Numeric, InjectionWithoutFtCorruptsQr) {
+  const Decomposer dec(hw::PlatformProfile::numeric_demo());
+  const RunConfig cfg = injection_cfg(predict::Factorization::QR);
+  const RunReport r = dec.run(with_abft(cfg, "none"));
+  EXPECT_GT(r.abft.errors_injected_total(), 0);
+  EXPECT_FALSE(r.numeric_correct);
+  EXPECT_GT(r.residual, 1e-3);
+}
+
+// An uncorrected SDC can make the trailing matrix indefinite, so a pivot of
+// the next panel fails. The run reports an incorrect result with a
+// non-finite residual, and its timing run covers every iteration.
+TEST(Numeric, InjectionWithoutFtBreaksCholeskyWithoutThrowing) {
+  const Decomposer dec(hw::PlatformProfile::numeric_demo());
+  RunConfig cfg = injection_cfg(predict::Factorization::Cholesky, 256);
+  cfg.error_rate_multiplier = 3000.0;
+  cfg.seed = 1;
+  const RunReport r = dec.run(with_abft(cfg, "none"));
+  EXPECT_GT(r.abft.errors_injected_total(), 0);
+  EXPECT_FALSE(r.numeric_correct);
+  EXPECT_FALSE(std::isfinite(r.residual));
+  EXPECT_EQ(r.trace.iterations.size(), 256u / 32u);
 }
 
 TEST(Numeric, FullAbftRepairsInjectedErrors) {

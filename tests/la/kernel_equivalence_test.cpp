@@ -1,11 +1,12 @@
 // The restructured la loops against the loops they replaced, bit for bit.
 //
-// fill_spd, larf_left, form_q and laswp were rewritten for speed under the
-// prime directive of docs/PERFORMANCE.md: every output element sees the same
-// floating-point operations in the same order. The reference loops below are
-// the straightforward versions they replaced. Every comparison is a memcmp
-// over the whole parent allocation, so a reassociated sum, a flipped signed
-// zero or a write outside the view fails.
+// fill_spd, larf_left, form_q, laswp and the three residual checks were
+// rewritten for speed under the prime directive of docs/PERFORMANCE.md: every
+// output element sees the same floating-point operations in the same order.
+// The reference loops below are the straightforward versions they replaced.
+// Every matrix comparison is a memcmp over the whole parent allocation, so a
+// reassociated sum, a flipped signed zero or a write outside the view fails;
+// every residual comparison is a memcmp of the returned double.
 //
 // The last test pins the serialized RunReport (residual included) of six
 // numeric solves, which run all four kernels end to end.
@@ -14,12 +15,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bsr/bsr.hpp"
+#include "la/blas.hpp"
 #include "la/lapack.hpp"
+#include "la/verify.hpp"
 #include "serve/report_json.hpp"
 
 namespace bsr::la {
@@ -77,6 +81,96 @@ Matrix<T> ref_form_q(ConstMatrixView<T> qr, const std::vector<T>& tau) {
   return q;
 }
 
+// form_q's own rule: H_j applied to q(j:, j:) only. For finite v and tau
+// this is ref_form_q; for non-finite ones it is what form_q must match.
+template <typename T>
+Matrix<T> ref_form_q_trailing(ConstMatrixView<T> qr,
+                              const std::vector<T>& tau) {
+  const idx m = qr.rows();
+  const idx k = static_cast<idx>(tau.size());
+  Matrix<T> q(m, m);
+  fill_identity(q.view());
+  std::vector<T> v(static_cast<std::size_t>(m));
+  for (idx j = k - 1; j >= 0; --j) {
+    v[0] = T(1);
+    for (idx i = 1; i < m - j; ++i) v[i] = qr(j + i, j);
+    ref_larf_left(v.data(), tau[j], q.block(j, j, m - j, m - j));
+  }
+  return q;
+}
+
+// The residual checks as they were: the factors copied into zero-filled
+// matrices and multiplied with the dense gemm.
+template <typename T>
+double ref_cholesky_residual(ConstMatrixView<T> original,
+                             ConstMatrixView<T> factored) {
+  const idx n = original.rows();
+  Matrix<T> l(n, n);
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = j; i < n; ++i) l(i, j) = factored(i, j);
+  }
+  Matrix<T> rec(n, n);
+  gemm(Op::NoTrans, Op::Trans, T(1), l.view().as_const(), l.view().as_const(),
+       T(0), rec.view());
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < n; ++i) rec(i, j) -= original(i, j);
+  }
+  const double denom = norm_fro(original);
+  return denom == 0.0 ? norm_fro(rec.view().as_const())
+                      : norm_fro(rec.view().as_const()) / denom;
+}
+
+template <typename T>
+double ref_lu_residual(ConstMatrixView<T> original, ConstMatrixView<T> factored,
+                       const std::vector<idx>& ipiv) {
+  const idx m = original.rows();
+  const idx n = original.cols();
+  const idx k = std::min(m, n);
+  Matrix<T> l(m, k);
+  Matrix<T> u(k, n);
+  for (idx j = 0; j < k; ++j) {
+    l(j, j) = T(1);
+    for (idx i = j + 1; i < m; ++i) l(i, j) = factored(i, j);
+  }
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= std::min(j, k - 1); ++i) u(i, j) = factored(i, j);
+  }
+  Matrix<T> rec(m, n);
+  gemm(Op::NoTrans, Op::NoTrans, T(1), l.view().as_const(), u.view().as_const(),
+       T(0), rec.view());
+  // Compare against P*A: apply the same interchanges to a copy of A.
+  Matrix<T> pa = to_matrix(original);
+  laswp(pa.view(), ipiv, 0, static_cast<idx>(ipiv.size()));
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < m; ++i) rec(i, j) -= pa(i, j);
+  }
+  const double denom = norm_fro(original);
+  return denom == 0.0 ? norm_fro(rec.view().as_const())
+                      : norm_fro(rec.view().as_const()) / denom;
+}
+
+template <typename T>
+double ref_qr_residual(ConstMatrixView<T> original, ConstMatrixView<T> factored,
+                       const std::vector<T>& tau) {
+  const idx m = original.rows();
+  const idx n = original.cols();
+  const idx k = std::min(m, n);
+  Matrix<T> q = form_q(factored, tau);
+  Matrix<T> r(m, n);
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = factored(i, j);
+  }
+  Matrix<T> rec(m, n);
+  gemm(Op::NoTrans, Op::NoTrans, T(1), q.view().as_const(), r.view().as_const(),
+       T(0), rec.view());
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < m; ++i) rec(i, j) -= original(i, j);
+  }
+  const double denom = norm_fro(original);
+  return denom == 0.0 ? norm_fro(rec.view().as_const())
+                      : norm_fro(rec.view().as_const()) / denom;
+}
+
 // One row interchange at a time, across every column.
 template <typename T>
 void ref_laswp(MatrixView<T> a, const std::vector<idx>& ipiv, idx k0, idx k1) {
@@ -90,6 +184,12 @@ void ref_laswp(MatrixView<T> a, const std::vector<idx>& ipiv, idx k0, idx k1) {
 // ---- Helpers ----------------------------------------------------------------
 
 constexpr idx kSizes[] = {1, 2, 3, 5, 31, 64, 130};
+// kSizes plus the edges of form_q's eight-column blocks.
+constexpr idx kBlockSizes[] = {1, 2, 3, 5, 8, 9, 16, 17, 31, 64, 130};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
 template <typename T>
 bool same_bytes(const Matrix<T>& a, const Matrix<T>& b) {
@@ -172,7 +272,7 @@ TYPED_TEST(KernelEquivalence, LarfLeft) {
 
 TYPED_TEST(KernelEquivalence, FormQ) {
   using T = TypeParam;
-  for (const idx m : kSizes) {
+  for (const idx m : kBlockSizes) {
     // Square, and k < m reflectors from a tall panel.
     for (const idx k : {m, (m + 1) / 2}) {
       Matrix<T> a = padded<T>(m, k, static_cast<std::uint64_t>(m * 31 + k));
@@ -219,6 +319,168 @@ TYPED_TEST(KernelEquivalence, Laswp) {
           EXPECT_TRUE(same_bytes(want, got))
               << "m=" << m << " n=" << n << " k0=" << k0 << " k1=" << k1;
         }
+      }
+    }
+  }
+}
+
+// ---- Residuals --------------------------------------------------------------
+
+/// Values planted in a packed factor after it was computed, so that real
+/// zeros, signed zeros and non-finite entries sit next to the dense copies'
+/// structural zeros. One special value per case: a NaN that meets a NaN of
+/// another payload may keep either, as the compiler orders the operands.
+enum class Plant {
+  None,
+  ZeroColumn,    // a whole U / R column; for Cholesky, one column's weights
+  ZeroDiagonal,  // every diagonal entry
+  NegativeZeros, // -0.0 in a third of the entries, both triangles
+  InfUpper,      // +inf in U / R, above a diagonal
+  NegInfLower,   // -inf in L / V
+  NanUpper,
+  NanLower,
+  InfDiagonal,
+  InfBesideZeroWeight,  // -inf in L / V whose term gemm skips in one column
+};
+
+constexpr Plant kPlants[] = {Plant::None,          Plant::ZeroColumn,
+                             Plant::ZeroDiagonal,  Plant::NegativeZeros,
+                             Plant::InfUpper,      Plant::NegInfLower,
+                             Plant::NanUpper,      Plant::NanLower,
+                             Plant::InfDiagonal,   Plant::InfBesideZeroWeight};
+
+/// Plants `p` into the m x n factor f. "Upper" is the triangle at and above
+/// the diagonal, "lower" the one below it; with `lower_only` (a Cholesky
+/// factor, whose upper triangle is never read) upper positions are mirrored.
+template <typename T>
+void plant(MatrixView<T> f, Plant p, bool lower_only) {
+  const idx m = f.rows();
+  const idx n = f.cols();
+  const idx k = std::min(m, n);
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const auto upper = [&](idx i, idx j) -> T& {
+    return lower_only ? f(j, i) : f(i, j);
+  };
+  switch (p) {
+    case Plant::None: break;
+    case Plant::ZeroColumn:
+      for (idx i = 0; i <= std::min(n / 2, k - 1); ++i) upper(i, n / 2) = T(0);
+      break;
+    case Plant::ZeroDiagonal:
+      for (idx i = 0; i < k; ++i) f(i, i) = T(0);
+      break;
+    case Plant::NegativeZeros:
+      for (idx j = 0; j < n; ++j) {
+        for (idx i = 0; i < m; ++i) {
+          if ((i + 2 * j) % 3 == 0) f(i, j) = -T(0);
+        }
+      }
+      break;
+    case Plant::InfUpper: upper(k / 3, n - 1) = inf; break;
+    case Plant::NegInfLower:
+      if (m > 1) f(m - 1, 0) = -inf;
+      break;
+    case Plant::NanUpper: upper(k / 2, n - 1) = nan; break;
+    case Plant::NanLower:
+      if (m - 1 > k / 2) f(m - 1, k / 2) = nan;
+      break;
+    case Plant::InfDiagonal: f(k / 2, k / 2) = inf; break;
+    case Plant::InfBesideZeroWeight:
+      if (m > 1) f(m - 1, 0) = -inf;
+      upper(0, n / 2) = T(0);
+      break;
+  }
+}
+
+TYPED_TEST(KernelEquivalence, Residuals) {
+  using T = TypeParam;
+  // Square factors at every size, then getrf's and geqrf's wide and tall
+  // shapes. Every view is padded: its ld exceeds its rows.
+  std::vector<std::pair<idx, idx>> shapes;
+  for (const idx n : kBlockSizes) shapes.emplace_back(n, n);
+  for (const auto& mn : {std::pair<idx, idx>{9, 5}, {5, 9}, {17, 8}, {8, 17},
+                         {130, 31}, {31, 130}}) {
+    shapes.push_back(mn);
+  }
+  for (const auto& [m, n] : shapes) {
+    Matrix<T> a = padded<T>(m, n, static_cast<std::uint64_t>(m * 1000 + n));
+    const ConstMatrixView<T> original = inner(a).as_const();
+    Matrix<T> lu = a;
+    std::vector<idx> ipiv;
+    getrf(inner(lu), 4, ipiv);
+    Matrix<T> qr = a;
+    std::vector<T> tau;
+    geqrf(inner(qr), 4, tau);
+    for (const Plant p : kPlants) {
+      Matrix<T> f = lu;
+      plant(inner(f), p, false);
+      const ConstMatrixView<T> factored = inner(f).as_const();
+      EXPECT_TRUE(same_bits(ref_lu_residual(original, factored, ipiv),
+                            lu_residual(original, factored, ipiv)))
+          << "LU m=" << m << " n=" << n << " plant=" << static_cast<int>(p);
+      f = qr;
+      plant(inner(f), p, false);
+      EXPECT_TRUE(same_bits(ref_qr_residual(original, factored, tau),
+                            qr_residual(original, factored, tau)))
+          << "QR m=" << m << " n=" << n << " plant=" << static_cast<int>(p);
+    }
+  }
+  for (const idx n : kBlockSizes) {
+    Matrix<T> a = padded<T>(n, n, static_cast<std::uint64_t>(n));
+    Rng rng(300 + static_cast<std::uint64_t>(n));
+    fill_spd(inner(a), rng);
+    const ConstMatrixView<T> original = inner(a).as_const();
+    Matrix<T> chol = a;
+    ASSERT_EQ(potrf(inner(chol), 4), 0) << "n=" << n;
+    for (const Plant p : kPlants) {
+      Matrix<T> f = chol;
+      plant(inner(f), p, true);
+      const ConstMatrixView<T> factored = inner(f).as_const();
+      const double got = cholesky_residual(original, factored);
+      EXPECT_TRUE(same_bits(ref_cholesky_residual(original, factored), got))
+          << "Cholesky n=" << n << " plant=" << static_cast<int>(p);
+      // The upper triangle is never read: poisoning it changes no bit.
+      for (idx j = 1; j < n; ++j) {
+        for (idx i = 0; i < j; ++i) {
+          inner(f)(i, j) = std::numeric_limits<T>::quiet_NaN();
+        }
+      }
+      EXPECT_TRUE(same_bits(got, cholesky_residual(original, factored)))
+          << "Cholesky n=" << n << " plant=" << static_cast<int>(p);
+    }
+  }
+}
+
+TYPED_TEST(KernelEquivalence, FormQOnNonFiniteReflectors) {
+  using T = TypeParam;
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (const idx m : kBlockSizes) {
+    for (const idx k : {m, (m + 1) / 2}) {
+      Matrix<T> a = padded<T>(m, k, static_cast<std::uint64_t>(m * 37 + k));
+      std::vector<T> tau;
+      geqrf(inner(a), 4, tau);
+      // A reflector entry, a tau, or signed zeros: one kind per case.
+      for (int c = 0; c < 6; ++c) {
+        Matrix<T> f = a;
+        std::vector<T> t = tau;
+        const idx j = (k - 1) / 2;
+        switch (c) {
+          case 0: if (m - 1 > j) inner(f)(m - 1, j) = inf; break;
+          case 1: if (m - 1 > j) inner(f)(m - 1, j) = -inf; break;
+          case 2: if (m - 1 > j) inner(f)(m - 1, j) = nan; break;
+          case 3: t[static_cast<std::size_t>(j)] = inf; break;
+          case 4: t[static_cast<std::size_t>(j)] = nan; break;
+          case 5:
+            for (idx jj = 0; jj < k; ++jj) {
+              for (idx i = jj + 1; i < m; i += 2) inner(f)(i, jj) = -T(0);
+            }
+            break;
+        }
+        const ConstMatrixView<T> qr = inner(f).as_const();
+        EXPECT_TRUE(same_bytes(ref_form_q_trailing(qr, t), form_q(qr, t)))
+            << "m=" << m << " k=" << k << " case=" << c;
       }
     }
   }
